@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import quadrature as _quadrature
-from ._dd import two_sum
+from ._dd import exp2_scaled, log2_exp_neg
 from .oscillator import OscillatorMode, ScaledValue
 from .series import (
     derive_a1_series,
@@ -166,7 +166,7 @@ def _log_norm_prefactor(n: int, nu: float) -> float:
     """ln of the prefactor tying the Airy form to the normalised psi_n.
 
     The terms are each ~n ln n and cancel to O(ln nu); they are summed
-    with exact-compensation so no digits are lost at n ~ 1000.
+    exactly rounded so no digits are lost at n ~ 1000.
     """
     terms = (
         -0.25 * math.log(math.pi),
@@ -175,12 +175,7 @@ def _log_norm_prefactor(n: int, nu: float) -> float:
         0.25 * (2 * n + 1),
         -(n + 2.0 / 3.0) * math.log(nu),
     )
-    s = 0.0
-    comp = 0.0
-    for t in terms:
-        s, e = two_sum(s, t)
-        comp += e
-    return s + comp
+    return math.fsum(terms)
 
 
 def uniform_psi_approx(
@@ -218,19 +213,12 @@ def uniform_psi_approx(
         ups += math.ldexp(aip.mantissa, max(min(de, 1000), -1000)) * nu ** (-8.0 / 3.0) * G
 
     ln_c = _log_norm_prefactor(n, nu)
-    m_c, e_c = _exp_scaled(ln_c)
+    m_c, e_c = exp2_scaled(*log2_exp_neg(-ln_c, 0.0))
     amp = m_c * phi(zeta) ** 0.25 * ups
     out = ScaledValue.from_float(amp)
     if out.mantissa == 0.0:
         return out
     return ScaledValue(out.mantissa, out.exponent + e_c + ai.exponent)
-
-
-def _exp_scaled(ln_value: float) -> tuple[float, int]:
-    """e^{ln_value} as (mantissa, base-2 exponent), immune to over/underflow."""
-    l2 = ln_value / math.log(2.0)
-    e = math.floor(l2)
-    return 2.0 ** (l2 - e), int(e)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +358,7 @@ def tunnel_probability_asym(mode: OscillatorMode, form: str = "eq42") -> Expansi
 
 
 def _eq41_log_prefactor(n: int, nu: float) -> float:
-    """ln[2^{n+2} n! e^{n+1/2} / (sqrt(pi) nu^{2n+5/3})], compensated."""
+    """ln[2^{n+2} n! e^{n+1/2} / (sqrt(pi) nu^{2n+5/3})], exactly rounded sum."""
     terms = (
         (n + 2) * math.log(2.0),
         log_gamma(n + 1.0),
@@ -378,12 +366,7 @@ def _eq41_log_prefactor(n: int, nu: float) -> float:
         -0.5 * math.log(math.pi),
         -(2 * n + 5.0 / 3.0) * math.log(nu),
     )
-    s = 0.0
-    comp = 0.0
-    for v in terms:
-        s, e = two_sum(s, v)
-        comp += e
-    return s + comp
+    return math.fsum(terms)
 
 
 def _power_terms_eq41(pre, nu, b0c, b1c, a2, a3, c0, c1, value):

@@ -258,9 +258,6 @@ class TruncatedSeries:
         return self._wrap(_mul_lists(self.coeffs, other.coeffs, m))
 
     def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.mul_inverse_of(other)
-
-    def mul_inverse_of(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(len(self), len(other))
         return self._wrap(_mul_lists(self.coeffs, _inv_list(other.coeffs[:m]), m))
 
@@ -396,25 +393,6 @@ def _compose_lists(f, g, m):
         out = _mul_lists(out, g, m)
         out[0] = out[0] + f[k]
     return out
-
-
-# Functional aliases ---------------------------------------------------------
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a.mul(b)
-
-
-def series_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a.div(b)
-
-
-def series_pow_rational(s: TruncatedSeries, num: int, den: int = 1) -> TruncatedSeries:
-    return s.pow_rational(num, den)
-
-
-def series_revert(s: TruncatedSeries) -> TruncatedSeries:
-    return s.revert()
 
 
 # ---------------------------------------------------------------------------

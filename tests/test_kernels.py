@@ -3,6 +3,9 @@ import pytest
 
 from qhotunnel._kernels import BACKEND
 from qhotunnel._kernels._hermite_py import psi_scaled_grid as psi_py
+from qhotunnel.oscillator import OscillatorMode, eval_psi
+
+from ._per_step_kernel import psi_scaled_grid as psi_ref
 
 try:
     from qhotunnel._kernels._hermite_cy import psi_scaled_grid as psi_cy
@@ -27,6 +30,37 @@ def test_mantissas_normalized():
 def test_exact_zero_at_origin_for_odd_n():
     m, e = psi_py(11, np.array([0.0]))
     assert m[0] == 0.0 and e[0] == 0
+
+
+def _twin_grids():
+    rng = np.random.default_rng(42)
+    for n in (0, 1, 7, 63, 64, 65, 100, 800, 5000, 20000):
+        nu = (2 * n + 1) ** 0.5
+        xs = np.concatenate([rng.uniform(-nu - 15, nu + 15, 300), [0.0, nu, -nu]])
+        yield n, xs
+        yield n, np.concatenate([xs, [1e3, -1e3, 1e5]])
+        yield n, np.array([nu])
+        yield n, np.array([])
+
+
+@pytest.mark.parametrize("n,xs", list(_twin_grids()))
+def test_block_kernel_matches_per_step_reference(n, xs):
+    # block rescaling is by exact powers of two, so the values are identical
+    mb, eb = psi_py(n, xs)
+    mr, er = psi_ref(n, xs)
+    assert np.array_equal(mb, mr)
+    assert eb.dtype == np.int64 and np.array_equal(eb, er)
+
+
+@pytest.mark.parametrize("n", [2, 3, 100])
+@pytest.mark.parametrize("x", [5e-324, 1e-310])
+def test_subnormal_x_is_finite_and_normalized(n, x):
+    mode = OscillatorMode(n)
+    v = eval_psi(mode, x)
+    assert np.isfinite(v.mantissa)
+    assert v.is_normalized
+    if n % 2 == 0:
+        assert v == eval_psi(mode, 0.0)
 
 
 @pytest.mark.skipif(psi_cy is None, reason="compiled kernel not built")

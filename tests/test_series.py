@@ -21,10 +21,6 @@ from qhotunnel.series import (
     derive_phi_series,
     derive_zeta_series,
     format_coefficient,
-    series_div,
-    series_mul,
-    series_pow_rational,
-    series_revert,
 )
 
 # Golden coefficient values, as ring elements (alpha = 2^(1/3)):
@@ -115,11 +111,11 @@ class TestSeriesOps:
     def test_mul(self):
         one_plus = TruncatedSeries.from_list([1, 1, 0])
         one_minus = TruncatedSeries.from_list([1, -1, 0])
-        assert series_mul(one_plus, one_minus).coeffs == TruncatedSeries.from_list([1, 0, -1]).coeffs
+        assert one_plus.mul(one_minus).coeffs == TruncatedSeries.from_list([1, 0, -1]).coeffs
 
     def test_binomial_sqrt(self):
         s = TruncatedSeries.from_list([1, 1, 0, 0, 0])
-        r = series_pow_rational(s, 1, 2)
+        r = s.pow_rational(1, 2)
         assert [c for c in r.coeffs] == [
             EC(F(1)),
             EC(F(1, 2)),
@@ -130,18 +126,18 @@ class TestSeriesOps:
 
     def test_binomial_sqrt_half_slope(self):
         s = TruncatedSeries.from_list([1, F(1, 2), 0, 0])
-        r = series_pow_rational(s, 1, 2)
+        r = s.pow_rational(1, 2)
         assert [c for c in r.coeffs] == [EC(F(1)), EC(F(1, 4)), EC(F(-1, 32)), EC(F(1, 128))]
 
     def test_div_and_errors(self):
         num = TruncatedSeries.from_list([1, 2, 3])
         den = TruncatedSeries.from_list([2, 1, 0])
-        q = series_div(num, den)
-        assert series_mul(q, den).coeffs == num.coeffs
+        q = num.div(den)
+        assert q.mul(den).coeffs == num.coeffs
         with pytest.raises(ZeroLeadingTerm):
-            series_div(num, TruncatedSeries.from_list([0, 1, 0]))
+            num.div(TruncatedSeries.from_list([0, 1, 0]))
         with pytest.raises(NonRepresentablePower):
-            series_pow_rational(TruncatedSeries.from_list([3, 1, 0]), 1, 2)
+            TruncatedSeries.from_list([3, 1, 0]).pow_rational(1, 2)
 
     def test_shift_down_guards_pole(self):
         with pytest.raises(PoleCancellationFailure):
@@ -151,7 +147,7 @@ class TestSeriesOps:
 class TestRevert:
     def test_identity(self):
         s = TruncatedSeries.from_list([0, 1, 0, 0])
-        assert series_revert(s).coeffs == s.coeffs
+        assert s.revert().coeffs == s.coeffs
 
     def test_against_back_substitution(self):
         # independent oracle: substitute candidate r into s naively (explicit
@@ -184,7 +180,7 @@ class TestRevert:
 
         s_fracs = [F(0), F(2), F(1), F(0), F(0)]
         expected = brute_revert(s_fracs, 4)
-        got = series_revert(TruncatedSeries.from_list(s_fracs))
+        got = TruncatedSeries.from_list(s_fracs).revert()
         assert list(got.coeffs) == [EC(e) for e in expected]
         assert expected[1] == F(1, 2) and expected[2] == F(-1, 8)
 
@@ -193,7 +189,7 @@ class TestRevert:
         for _ in range(12):
             coeffs = [0, rng.choice([1, -1, 2])] + [rng.randint(-3, 3) for _ in range(6)]
             s = TruncatedSeries.from_list(coeffs)
-            r = series_revert(s)
+            r = s.revert()
             for ident in (s.compose(r), r.compose(s)):
                 assert ident.coeffs[0] == ZERO
                 assert ident.coeffs[1] == ONE
@@ -201,9 +197,9 @@ class TestRevert:
 
     def test_not_invertible(self):
         with pytest.raises(NotInvertible):
-            series_revert(TruncatedSeries.from_list([0, 0, 1]))
+            TruncatedSeries.from_list([0, 0, 1]).revert()
         with pytest.raises(NotInvertible):
-            series_revert(TruncatedSeries.from_list([1, 1]))
+            TruncatedSeries.from_list([1, 1]).revert()
 
 
 class TestDerivations:
