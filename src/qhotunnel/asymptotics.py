@@ -121,8 +121,8 @@ def x_of_zeta(zeta: float) -> ZetaPoint:
         if x <= 1.0:
             x = 1.0 + 1e-15
         if abs(step) <= 1e-15 * x:
-            break
-    return ZetaPoint(x, zeta)
+            return ZetaPoint(x, zeta)
+    raise DomainError(f"Newton iteration for x(zeta) did not converge at zeta = {zeta}")
 
 
 def phi(zeta: float) -> float:

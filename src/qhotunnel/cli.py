@@ -8,7 +8,8 @@ table      oracle vs expansion over a list of n, optionally to CSV
 coeffs     exact expansion coefficients (ring form and decimals)
 validate   pointwise sweep of the uniform wavefunction approximation
 
-Exit codes: 0 success, 2 bad flags, 3 quadrature non-convergence.
+Exit codes: 0 success, 2 bad flags or an argument outside the supported
+domain, 3 quadrature non-convergence.
 """
 
 from __future__ import annotations
@@ -164,6 +165,9 @@ def main(argv=None) -> int:
     except quadrature.NonConvergence as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # DomainError included
+        print(f"qhotunnel {args.subcommand}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

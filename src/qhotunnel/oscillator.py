@@ -11,11 +11,16 @@ binary orders.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import psi_scaled_grid
+
+# Beyond this |x| the seed exponent x^2/2 * log2(e) passes 2^53, so its
+# integer part is no longer exact and psi_n loses every digit.
+X_MAX = 2.0**26
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,8 @@ class OscillatorMode:
     nu: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise TypeError(f"quantum number must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"quantum number must be >= 0, got {self.n}")
         object.__setattr__(self, "nu", math.sqrt(2 * self.n + 1))
@@ -98,8 +105,8 @@ def rel_diff(a: ScaledValue, b: ScaledValue) -> float:
 
 
 def eval_psi(mode: OscillatorMode, x: float) -> ScaledValue:
-    """psi_n(x) as a ScaledValue, any finite x."""
-    m, e = psi_scaled_grid(mode.n, np.array([x], dtype=np.float64))
+    """psi_n(x) as a ScaledValue, for |x| <= X_MAX."""
+    m, e = eval_psi_grid(mode, np.array([x], dtype=np.float64))
     return ScaledValue(float(m[0]), int(e[0]))
 
 
@@ -109,8 +116,11 @@ def eval_density(mode: OscillatorMode, x: float) -> ScaledValue:
 
 
 def eval_psi_grid(mode: OscillatorMode, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of eval_psi: (mantissa, exponent) arrays."""
-    return psi_scaled_grid(mode.n, np.asarray(x, dtype=np.float64))
+    """Vector form of eval_psi: (mantissa, exponent) arrays, for every |x| <= X_MAX."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.abs(x) <= X_MAX):  # also rejects nan
+        raise ValueError(f"psi_n(x) needs |x| <= 2^26, got max |x| = {np.max(np.abs(x))}")
+    return psi_scaled_grid(mode.n, x)
 
 
 def density_floats(mode: OscillatorMode, x: np.ndarray) -> np.ndarray:

@@ -90,6 +90,23 @@ class TestInverseMap:
         with pytest.raises(DomainError):
             x_of_zeta(-0.1)
 
+    def test_newton_converges_over_sweep(self):
+        # log scale, so the series-start range [0.06, 1.5] is dense; plus the edges of each start
+        edges = [np.nextafter(z, 2.0) * (1.0 + k * 1e-15) for z in (0.06, 0.1, 1.5) for k in range(5)]
+        for zeta in [0.0, *np.geomspace(0.06, 1e6, 4001), *edges]:
+            x = x_of_zeta(float(zeta)).x
+            assert math.isfinite(x) and x >= 1.0
+            assert zeta_of_x(x).zeta == pytest.approx(zeta, rel=1e-13)
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        with pytest.raises(DomainError):
+            x_of_zeta(math.inf)
+        import qhotunnel.asymptotics as asymptotics
+
+        monkeypatch.setattr(asymptotics, "_zeta32_closed", lambda x: math.nan)
+        with pytest.raises(DomainError):
+            x_of_zeta(1.0)
+
 
 class TestCoefficientFunctions:
     def test_values_at_zero(self):

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +121,22 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "exact", "3")
         assert code == 3
         assert "converge" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("exact", "--", "-1"), ("asym", "0"), ("table", "--ns", "0,1")]
+    )
+    def test_out_of_domain_arguments_exit_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+def test_module_entry_point_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhotunnel", "exact", "10"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "10 0.06014381449\n"

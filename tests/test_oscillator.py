@@ -47,6 +47,14 @@ class TestMode:
         with pytest.raises(ValueError):
             OscillatorMode(-1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, False, "3"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(TypeError):
+            OscillatorMode(n)
+
+    def test_numpy_integer_n_accepted(self):
+        assert OscillatorMode(np.int64(5)).nu == math.sqrt(11.0)
+
 
 class TestScaledValue:
     def test_zero_canonical(self):
@@ -71,6 +79,36 @@ class TestScaledValue:
 
 
 class TestEvalPsi:
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e154, -1e154, 1.12e8])
+    def test_rejects_x_outside_supported_range(self, x):
+        with pytest.raises(ValueError):
+            eval_psi(OscillatorMode(3), x)
+
+    @pytest.mark.parametrize("fn", [eval_psi_grid, density_floats])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 1.12e8, 1e9])
+    def test_grid_rejects_x_outside_supported_range(self, fn, x):
+        with pytest.raises(ValueError):
+            fn(OscillatorMode(3), np.array([0.5, -x, 2.0]))
+
+    def test_grid_accepts_supported_range(self):
+        xs = np.array([-(2.0**26), 0.0, 2.0**26])
+        assert np.array_equal(density_floats(OscillatorMode(3), xs), [0.0, 0.0, 0.0])
+        assert eval_psi_grid(OscillatorMode(3), np.array([]))[0].size == 0
+
+    def test_largest_supported_x(self):
+        import mpmath
+
+        x = 2.0**26
+        got = eval_psi(OscillatorMode(3), -x)
+        assert got.is_normalized
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            log2_ref = mpmath.log(
+                mpmath.pi ** -0.25 / mpmath.sqrt(48) * mpmath.exp(-xm * xm / 2) * mpmath.hermite(3, xm), 2
+            )
+            assert got.exponent == int(mpmath.floor(log2_ref)) + 1
+            assert float(mpmath.log(-got.mantissa, 2) + got.exponent - log2_ref) == pytest.approx(0.0, abs=1e-15)
+
     def test_ground_state_at_origin(self):
         v = eval_psi(OscillatorMode(0), 0.0)
         assert float(v) == pytest.approx(FROZEN["pi_quarter_inv"], rel=1e-15)

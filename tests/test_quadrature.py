@@ -1,8 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from qhotunnel import oscillator
+from qhotunnel import quadrature as quad
 from qhotunnel.oscillator import OscillatorMode, density_floats
 from qhotunnel.quadrature import (
     NonConvergence,
@@ -98,3 +101,109 @@ class TestNormalisation:
         outer = integrate_decaying(f, mode.nu, 1e-12)
         total = 2.0 * (inner.value + outer.value)
         assert total == pytest.approx(1.0, abs=1e-11)
+
+
+def _oracle_case(n):
+    mode = OscillatorMode(n)
+    return (lambda xs: density_floats(mode, xs), mode.nu, {"first_width": min(1.0, 10.0 / mode.nu)})
+
+
+_DECAYING_CASES = {
+    **{f"oracle n={n}": _oracle_case(n) for n in (0, 1, 10, 100, 800, 5200)},
+    "exp(-x^2) from 1": (lambda x: np.exp(-x * x), 1.0, {}),
+    "exp(-x) from 0": (lambda x: np.exp(-x), 0.0, {}),
+    "scalar exp(-x^2)": (lambda x: math.exp(-x * x), 1.0, {}),
+    "first_width=2": (lambda x: np.exp(-x * x), 1.0, {"first_width": 2.0}),
+    "5 exp(-x/3), total 15": (lambda x: 5.0 * np.exp(-x / 3.0), 0.0, {}),
+    "40 exp(-x^2/50) cos^2 x": (lambda x: 40.0 * np.exp(-x * x / 50.0) * np.cos(x) ** 2, 0.0, {}),
+}
+
+
+def _depth_first(monkeypatch):
+    """Evaluate nothing ahead: every sum and probe then costs its own call, as in a plain march."""
+    monkeypatch.setattr(quad._Rounds, "fill", lambda self, panels, probe: None)
+
+
+def _counted(f):
+    calls = []
+    return calls, lambda xs: (calls.append(np.size(xs)), f(xs))[1]
+
+
+class TestLookAhead:
+    """Evaluating panels ahead changes which call computes a sum, never the result."""
+
+    @pytest.mark.parametrize("case", list(_DECAYING_CASES))
+    def test_decaying_fields_equal(self, case, monkeypatch):
+        f, a, kwargs = _DECAYING_CASES[case]
+        new = integrate_decaying(f, a, 1e-13, **kwargs)
+        _depth_first(monkeypatch)
+        ref = integrate_decaying(f, a, 1e-13, **kwargs)
+        assert new.value == ref.value
+        assert new.abs_error_estimate == ref.abs_error_estimate
+        assert new.panels_used == ref.panels_used
+        assert new.tail_cut == ref.tail_cut
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 100, 800])
+    def test_finite_fields_equal(self, n, monkeypatch):
+        mode = OscillatorMode(n)
+        f = lambda xs: density_floats(mode, xs)
+        new = integrate_finite(f, 0.0, mode.nu, 1e-12)
+        _depth_first(monkeypatch)
+        assert new == integrate_finite(f, 0.0, mode.nu, 1e-12)
+
+    @pytest.mark.parametrize("case", ["oracle n=10", "oracle n=800", "exp(-x) from 0", "5 exp(-x/3), total 15"])
+    def test_budget_parity(self, case, monkeypatch):
+        f, a, kwargs = _DECAYING_CASES[case]
+        used = integrate_decaying(f, a, 1e-13, **kwargs).panels_used
+        assert integrate_decaying(f, a, 1e-13, panel_budget=used, **kwargs).panels_used == used
+        with pytest.raises(NonConvergence):
+            integrate_decaying(f, a, 1e-13, panel_budget=used - 1, **kwargs)
+        _depth_first(monkeypatch)
+        assert integrate_decaying(f, a, 1e-13, **kwargs).panels_used == used
+
+    @pytest.mark.parametrize("case", [c for c in _DECAYING_CASES if not c.startswith("scalar")])
+    def test_at_most_one_round_of_extra_nodes(self, case, monkeypatch):
+        f, a, kwargs = _DECAYING_CASES[case]
+        ahead, g = _counted(f)
+        integrate_decaying(g, a, 1e-13, **kwargs)
+        _depth_first(monkeypatch)
+        plain, g = _counted(f)
+        integrate_decaying(g, a, 1e-13, **kwargs)
+        assert len(ahead) <= len(plain)
+        assert sum(ahead) <= sum(plain) + quad._LOOKAHEAD * (3 * 24 + 2)
+
+    def test_nan_past_the_stop_costs_nothing(self):
+        # the march stops at 10.16 and probes 10.41; the round reaches 26.16
+        f = lambda x: np.exp(-x * x)
+        calls, g = _counted(lambda x: np.where(x < 10.5, f(x), np.nan))
+        assert integrate_decaying(g, 1.0, 1e-13) == integrate_decaying(f, 1.0, 1e-13)
+        assert calls == [quad._LOOKAHEAD * (3 * 24 + 2)]
+
+    def test_failure_past_the_stop_is_not_raised(self):
+        def f(x):
+            if x > 10.5:
+                raise ValueError("outside the table")
+            return math.exp(-x * x)
+
+        assert integrate_decaying(f, 1.0, 1e-13) == integrate_decaying(lambda x: math.exp(-x * x), 1.0, 1e-13)
+
+
+class TestRounds:
+    @pytest.mark.parametrize("n", [0, 10, 800, 9800])
+    def test_one_kernel_call_per_oracle_solve(self, n, monkeypatch):
+        calls = []
+        kernel = oscillator.psi_scaled_grid
+
+        def counted(order, xs):
+            calls.append(len(xs))
+            return kernel(order, xs)
+
+        monkeypatch.setattr(oscillator, "psi_scaled_grid", counted)
+        tunnel_probability_exact(OscillatorMode(n), 1e-13)
+        assert len(calls) == 1
+
+    def test_one_round_logged_per_oracle_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="qhotunnel.quadrature"):
+            tunnel_probability_exact(OscillatorMode(800), 1e-13)
+        rounds = [r for r in caplog.records if r.name == "qhotunnel.quadrature"]
+        assert [r.getMessage() for r in rounds] == ["quadrature round 0: 8 panels, 592 nodes in one call"]
