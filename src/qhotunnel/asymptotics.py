@@ -109,10 +109,13 @@ def x_of_zeta(zeta: float) -> ZetaPoint:
     x = _horner(_x_zeta_coeffs(), zeta)
     if zeta < 0.06:
         return ZetaPoint(x, zeta)
+    try:
+        target = zeta**1.5
+    except OverflowError:
+        raise DomainError(f"zeta^(3/2) overflows at zeta = {zeta}") from None
     if zeta > 1.5 or x <= 1.0:
         # large-zeta start: zeta^{3/2} ~ (3/4) x^2 for x >> 1
-        x = max(x, math.sqrt(4.0 / 3.0 * zeta**1.5 + 1.0))
-    target = zeta**1.5
+        x = max(x, math.sqrt(4.0 / 3.0 * target + 1.0))
     for _ in range(60):
         f = _zeta32_closed(x) - target
         df = 1.5 * math.sqrt((x - 1.0) * (x + 1.0))

@@ -10,6 +10,19 @@ a field, since 2^(1/3) has degree 3 over Q.  Half-integer powers such as
 u^{3/2} or zeta^{-1/2} are never stored in a series: the derivations
 factor them out by hand and cancel them before any ring arithmetic
 happens (they always can, which is the point of the zeta variable).
+
+The series kernels (products, scaling, inverses, rational powers and
+compositions) work on an integer lattice: each input series is converted
+once to integer triples (n0, n1, n2) over one common denominator d, so that
+coefficient k is (n0 + n1*2^(1/3) + n2*2^(2/3)) / d.  A ring product is
+then nine int multiplications with alpha^3 = 2 folded in, and no gcd;
+ExactCoefficients of reduced Fractions are built only on output.  Inverses
+use Newton doubling g <- g(2 - a*g) (Brent & Kung, JACM 1978) with the
+common denominator reduced once per doubling; rational powers run their
+recurrence over a denominator fixed in advance, so every division in it
+is exact.  Products, inverses, powers and reversions of series are unique,
+so the results equal those of Fraction arithmetic coefficient for
+coefficient.
 """
 
 from __future__ import annotations
@@ -245,8 +258,7 @@ class TruncatedSeries:
         return self._wrap([-c for c in self.coeffs])
 
     def scale(self, factor) -> "TruncatedSeries":
-        f = factor if isinstance(factor, ExactCoefficient) else _as_coeff(factor)
-        return self._wrap([c * f for c in self.coeffs])
+        return self._wrap(_mul_lists(self.coeffs, [_as_coeff(factor)], len(self)))
 
     def add_const(self, v) -> "TruncatedSeries":
         c = list(self.coeffs)
@@ -316,7 +328,7 @@ class TruncatedSeries:
         """Compositional inverse: self(revert(self)) = identity."""
         if not self.coeffs[0].is_zero:
             raise NotInvertible("reversion needs a zero constant term")
-        if self.coeffs[1].is_zero:
+        if len(self) < 2 or self.coeffs[1].is_zero:
             raise NotInvertible("reversion needs an invertible linear term")
         m = len(self)
         s = list(self.coeffs)
@@ -346,58 +358,143 @@ class TruncatedSeries:
         return ", ".join(format_coefficient(c) for c in self.coeffs)
 
 
-def _mul_lists(a, b, m):
-    out = [ZERO] * m
-    for i, ai in enumerate(a[:m]):
-        if ai.is_zero:
+# ---------------------------------------------------------------------------
+# Kernels on the integer lattice
+# ---------------------------------------------------------------------------
+
+
+def _to_lattice(coeffs) -> tuple[int, list[tuple[int, int, int]]]:
+    """(d, triples): coeffs[k] = (n0 + n1*alpha + n2*alpha^2) / d, one d > 0."""
+    d = math.lcm(*(x.denominator for c in coeffs for x in (c.c0, c.c1, c.c2)))
+    return d, [
+        (
+            c.c0.numerator * (d // c.c0.denominator),
+            c.c1.numerator * (d // c.c1.denominator),
+            c.c2.numerator * (d // c.c2.denominator),
+        )
+        for c in coeffs
+    ]
+
+
+def _from_lattice(d: int, triples) -> list[ExactCoefficient]:
+    return [
+        ExactCoefficient(Fraction(n0, d), Fraction(n1, d), Fraction(n2, d))
+        for n0, n1, n2 in triples
+    ]
+
+
+def _reduce(d: int, triples) -> tuple[int, list[tuple[int, int, int]]]:
+    """Divide the denominator and every numerator by their common gcd."""
+    g = math.gcd(d, *(n for t in triples for n in t))
+    if g == 1:
+        return d, triples
+    return d // g, [(n0 // g, n1 // g, n2 // g) for n0, n1, n2 in triples]
+
+
+def _lattice_mul(a, b, m: int) -> list[tuple[int, int, int]]:
+    """Numerators of a*b mod var^m; the denominator is the product of both."""
+    # alpha^3 = 2, alpha^4 = 2*alpha: the doubled parts of b are formed once
+    bb = [(y0, y1, y2, 2 * y1, 2 * y2) for y0, y1, y2 in b[:m]]
+    o0 = [0] * m
+    o1 = [0] * m
+    o2 = [0] * m
+    for i, (x0, x1, x2) in enumerate(a[:m]):
+        if not (x0 or x1 or x2):
             continue
-        for j, bj in enumerate(b[: m - i]):
-            if bj.is_zero:
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
+        k = i
+        for y0, y1, y2, d1, d2 in bb[: m - i]:
+            o0[k] += x0 * y0 + x1 * d2 + x2 * d1
+            o1[k] += x0 * y1 + x1 * y0 + x2 * d2
+            o2[k] += x0 * y2 + x1 * y1 + x2 * y0
+            k += 1
+    return list(zip(o0, o1, o2))
+
+
+def _mul_lists(a, b, m):
+    da, la = _to_lattice(a[:m])
+    db, lb = _to_lattice(b[:m])
+    return _from_lattice(da * db, _lattice_mul(la, lb, m))
 
 
 def _inv_list(a):
+    """1/a by Newton doubling g <- g(2 - a*g), which doubles the correct terms."""
     if a[0].is_zero:
         raise ZeroLeadingTerm("series inverse needs a nonzero constant term")
     m = len(a)
-    inv0 = a[0].inverse()
-    out = [inv0] + [ZERO] * (m - 1)
-    for k in range(1, m):
-        acc = ZERO
-        for j in range(1, k + 1):
-            acc = acc + a[j] * out[k - j]
-        out[k] = -(inv0 * acc)
-    return out
+    da, la = _to_lattice(a)
+    dg, g = _to_lattice([a[0].inverse()])
+    n = 1
+    while n < m:
+        n = min(2 * n, m)
+        # 2 - a*g over da*dg
+        e = [(-e0, -e1, -e2) for e0, e1, e2 in _lattice_mul(la, g, n)]
+        e[0] = (e[0][0] + 2 * da * dg, e[0][1], e[0][2])
+        dg, g = _reduce(dg * da * dg, _lattice_mul(g, e, n))
+    return _from_lattice(dg, g)
 
 
 def _binomial_list(t, r: Fraction):
-    """(1 + w)^r for t = 1 + w (t[0] must be ONE), rational exponent r."""
+    """(1 + w)^r for t = 1 + w (t[0] must be ONE), rational exponent r.
+
+    With y = t^r, k y_k = sum_{i=1..k} (r i - (k - i)) t_i y_{k-i}.  If
+    t = T/dt and r = p/q, then y_k has a denominator dividing
+    q^k dt^k k!, so y is carried over the common denominator
+    E = q^(m-1) dt^(m-1) (m-1)! and every division below is exact.
+    """
     m = len(t)
-    y = [ONE] + [ZERO] * (m - 1)
+    p, q = r.numerator, r.denominator
+    dt, lt = _to_lattice(t)
+    e = (q * dt) ** (m - 1) * math.factorial(m - 1)
+    y = [(e, 0, 0)]
     for k in range(1, m):
-        acc = ZERO
+        s0 = s1 = s2 = 0
         for i in range(1, k + 1):
-            acc = acc + (t[i] * i) * y[k - i] * r
-        for i in range(1, k):
-            acc = acc - (y[i] * i) * t[k - i]
-        y[k] = acc * Fraction(1, k)
-    return y
+            x0, x1, x2 = lt[i]
+            y0, y1, y2 = y[k - i]
+            w = p * i - q * (k - i)
+            s0 += w * (x0 * y0 + 2 * (x1 * y2 + x2 * y1))
+            s1 += w * (x0 * y1 + x1 * y0 + 2 * x2 * y2)
+            s2 += w * (x0 * y2 + x1 * y1 + x2 * y0)
+        div = k * q * dt
+        y.append((s0 // div, s1 // div, s2 // div))
+    return _from_lattice(e, y)
 
 
 def _compose_lists(f, g, m):
-    out = [ZERO] * m
-    out[0] = f[m - 1]
+    """f(g) mod var^m by Horner's rule; g[0] must be zero.
+
+    Each later Horner step multiplies by g and so raises the valuation by
+    one; with k steps still to come only the first m - k terms matter.
+    """
+    df, lf = _to_lattice(f[:m])
+    dg, lg = _to_lattice(g[:m])
+    d, out = df, [lf[m - 1]]
     for k in range(m - 2, -1, -1):
-        out = _mul_lists(out, g, m)
-        out[0] = out[0] + f[k]
-    return out
+        prod = _lattice_mul(out, lg, m - k)
+        # prod / (d*dg) + f_k / df over their least common denominator
+        dp = d * dg
+        d = math.lcm(dp, df)
+        sp, sf = d // dp, d // df
+        if sp != 1:
+            prod = [(n0 * sp, n1 * sp, n2 * sp) for n0, n1, n2 in prod]
+        n0, n1, n2 = prod[0]
+        prod[0] = (n0 + lf[k][0] * sf, n1 + lf[k][1] * sf, n2 + lf[k][2] * sf)
+        d, out = _reduce(d, prod)
+    return _from_lattice(d, out)
 
 
 # ---------------------------------------------------------------------------
 # Derivations of the turning-point expansions
 # ---------------------------------------------------------------------------
+
+
+_MAX_ORDER = 30
+
+
+def _check_order(M: int) -> None:
+    # the cap is on the order asked for; the work lengths inside run past it
+    if M > _MAX_ORDER:
+        raise ValueError(f"orders beyond {_MAX_ORDER} are not supported")
 
 
 def derive_zeta_series(M: int) -> TruncatedSeries:
@@ -408,8 +505,11 @@ def derive_zeta_series(M: int) -> TruncatedSeries:
     half-integer power is absorbed into zeta^{3/2} = u^{3/2} sqrt(2) T(u),
     and zeta = 2^{1/3} u T(u)^{2/3} stays inside the ring.
     """
-    if M > 30:
-        raise ValueError("orders beyond 30 are not supported")
+    _check_order(M)
+    return _zeta_series(M)
+
+
+def _zeta_series(M: int) -> TruncatedSeries:
     work = M + 2
     h = TruncatedSeries.from_list([1, Fraction(1, 2)] + [0] * (work - 2))
     c = h.pow_rational(1, 2)
@@ -423,35 +523,44 @@ def derive_zeta_series(M: int) -> TruncatedSeries:
 
 def derive_inversion_series(M: int) -> TruncatedSeries:
     """x as a series in zeta (constant term 1), M coefficients."""
-    u = derive_zeta_series(M).revert()
-    return TruncatedSeries(u.coeffs, "zeta", ZETA0).add_const(1)
+    _check_order(M)
+    # a one-term zeta series has no linear term to revert
+    u = _u_of_zeta(max(M, 2)).truncate(M)
+    return u.add_const(1)
 
 
 def _u_of_zeta(work: int) -> TruncatedSeries:
-    return TruncatedSeries(derive_zeta_series(work).revert().coeffs, "zeta", ZETA0)
+    """u = x - 1 as a series in zeta: the one reversion of each derivation."""
+    return TruncatedSeries(_zeta_series(work).revert().coeffs, "zeta", ZETA0)
 
 
-def derive_phi_series(M: int) -> TruncatedSeries:
-    """phi(zeta) = zeta/(x^2-1) as a series in zeta, M coefficients."""
-    work = M + 3
-    u = _u_of_zeta(work)
+# Each piece below takes u(zeta) with at least M + (its offset) coefficients
+# and cuts it to that length, so one reversion can serve two pieces.
+_PHI_WORK, _B0_WORK, _A1_WORK = 3, 4, 5
+
+
+def _phi(u: TruncatedSeries, M: int) -> TruncatedSeries:
+    u = u.truncate(M + _PHI_WORK)
     den = u.mul(u.add_const(2))  # u(u+2) = x^2 - 1, vanishes at zeta = 0
     q = den.shift_down(1)
     return q.inverse().truncate(M)
 
 
-def _b_series(work: int) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """(u, x, B) with B = u(u+2)/zeta; B(0) = 2^{2/3} so B^{3/2} is in the ring."""
-    u = _u_of_zeta(work)
+def derive_phi_series(M: int) -> TruncatedSeries:
+    """phi(zeta) = zeta/(x^2-1) as a series in zeta, M coefficients."""
+    _check_order(M)
+    return _phi(_u_of_zeta(M + _PHI_WORK), M)
+
+
+def _b_series(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(x, B) with B = u(u+2)/zeta; B(0) = 2^{2/3} so B^{3/2} is in the ring."""
     x = u.add_const(1)
     B = u.shift_down(1).mul(u.add_const(2))
-    return u, x, B
+    return x, B
 
 
-def derive_b0_series(M: int) -> TruncatedSeries:
-    """b0(zeta) as a series in zeta (regular: the 1/zeta^2 pole cancels exactly)."""
-    work = M + 4
-    _, x, B = _b_series(work)
+def _b0(u: TruncatedSeries, M: int) -> TruncatedSeries:
+    x, B = _b_series(u.truncate(M + _B0_WORK))
     b32 = B.pow_rational(3, 2)
     x2 = x.mul(x)
     p1 = x.mul(x2.add_const(-6)).div(b32).scale(Fraction(1, 12))
@@ -459,23 +568,22 @@ def derive_b0_series(M: int) -> TruncatedSeries:
     return bracket.shift_down(2).scale(Fraction(-1, 2)).truncate(M)
 
 
+def derive_b0_series(M: int) -> TruncatedSeries:
+    """b0(zeta) as a series in zeta (regular: the 1/zeta^2 pole cancels exactly)."""
+    _check_order(M)
+    return _b0(_u_of_zeta(M + _B0_WORK), M)
+
+
 def derive_beta_series(M: int) -> TruncatedSeries:
     """Coefficients beta_m with phi(zeta) b0(zeta) = -sum beta_m zeta^m."""
+    _check_order(M)
     work = M + 4
-    phi = derive_phi_series(work)
-    b0 = derive_b0_series(work)
-    return (-phi.mul(b0)).truncate(M)
+    u = _u_of_zeta(work + max(_PHI_WORK, _B0_WORK))
+    return (-_phi(u, work).mul(_b0(u, work))).truncate(M)
 
 
-def derive_a1_series(M: int) -> TruncatedSeries:
-    """a1(zeta) as a series in zeta.
-
-    The three singular pieces carry a zeta^{-3} prefactor after the
-    half-integer bookkeeping; their sum must vanish to third order,
-    otherwise PoleCancellationFailure signals an implementation bug.
-    """
-    work = M + 5
-    _, x, B = _b_series(work)
+def _a1(u: TruncatedSeries, M: int) -> TruncatedSeries:
+    x, B = _b_series(u.truncate(M + _A1_WORK))
     x2 = x.mul(x)
     x4 = x2.mul(x2)
     num1 = x2.scale(249) + x4.scale(-9)
@@ -487,9 +595,21 @@ def derive_a1_series(M: int) -> TruncatedSeries:
     return total.shift_down(3).scale(Fraction(1, 1152)).truncate(M)
 
 
+def derive_a1_series(M: int) -> TruncatedSeries:
+    """a1(zeta) as a series in zeta.
+
+    The three singular pieces carry a zeta^{-3} prefactor after the
+    half-integer bookkeeping; their sum must vanish to third order,
+    otherwise PoleCancellationFailure signals an implementation bug.
+    """
+    _check_order(M)
+    return _a1(_u_of_zeta(M + _A1_WORK), M)
+
+
 def derive_nu4_weight_series(M: int) -> TruncatedSeries:
     """Series of -(1/576) phi (1 + 1152 f2), the order-nu^-4 density weight."""
+    _check_order(M)
     work = M + 2
-    phi = derive_phi_series(work)
-    a1 = derive_a1_series(work)
-    return phi.mul(a1.scale(1152).add_const(3)).scale(Fraction(-1, 576)).truncate(M)
+    u = _u_of_zeta(work + max(_PHI_WORK, _A1_WORK))
+    a1 = _a1(u, work)
+    return _phi(u, work).mul(a1.scale(1152).add_const(3)).scale(Fraction(-1, 576)).truncate(M)

@@ -107,6 +107,12 @@ class TestInverseMap:
         with pytest.raises(DomainError):
             x_of_zeta(1.0)
 
+    @pytest.mark.parametrize("zeta", [1e250, 1e300, 1.7976931348623157e308])
+    def test_overflowing_zeta_raises_domain_error(self, zeta):
+        # zeta**1.5 overflows a double from zeta of about 3.2e205
+        with pytest.raises(DomainError):
+            x_of_zeta(zeta)
+
 
 class TestCoefficientFunctions:
     def test_values_at_zero(self):

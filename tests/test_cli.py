@@ -92,6 +92,17 @@ class TestCoeffs:
             code, _, _ = run_cli(capsys, "coeffs", "--which", which, "--order", "3")
             assert code == 0
 
+    @pytest.mark.parametrize("order", [1, 25])
+    @pytest.mark.parametrize("which", ["alpha", "beta", "a1", "inversion"])
+    def test_documented_order_range_runs(self, capsys, which, order):
+        # the internal work lengths run past the order asked for
+        code, out, _ = run_cli(capsys, "coeffs", "--which", which, "--order", str(order))
+        _, ref, _ = run_cli(capsys, "coeffs", "--which", which, "--order", "13")
+        assert code == 0
+        entries = out.splitlines()[0].split(", ")
+        assert len(entries) == order
+        assert entries[:13] == ref.splitlines()[0].split(", ")[:order]
+
 
 class TestValidate:
     def test_sweep_reports_small_deviation(self, capsys):

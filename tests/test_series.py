@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qhotunnel import series
 from qhotunnel.series import (
     ALPHA,
     ONE,
@@ -22,6 +26,8 @@ from qhotunnel.series import (
     derive_zeta_series,
     format_coefficient,
 )
+
+from . import _fraction_series
 
 # Golden coefficient values, as ring elements (alpha = 2^(1/3)):
 #   2^(-1/3) = alpha^2/2, 2^(-2/3) = alpha/2.
@@ -200,6 +206,8 @@ class TestRevert:
             TruncatedSeries.from_list([0, 0, 1]).revert()
         with pytest.raises(NotInvertible):
             TruncatedSeries.from_list([1, 1]).revert()
+        with pytest.raises(NotInvertible):
+            TruncatedSeries.from_list([0]).revert()
 
 
 class TestDerivations:
@@ -268,3 +276,116 @@ class TestDerivations:
         assert derive_phi_series(14).evaluate(zeta) == pytest.approx(phi_closed, rel=1e-9)
         assert derive_b0_series(14).evaluate(zeta) == pytest.approx(b0_closed, rel=1e-9)
         assert derive_a1_series(14).evaluate(zeta) == pytest.approx(a1_closed, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Integer-lattice kernels against the Fraction reference kernels
+# ---------------------------------------------------------------------------
+
+_FAMILIES = {
+    "zeta": derive_zeta_series,
+    "inversion": derive_inversion_series,
+    "phi": derive_phi_series,
+    "b0": derive_b0_series,
+    "beta": derive_beta_series,
+    "a1": derive_a1_series,
+    "nu4_weight": derive_nu4_weight_series,
+}
+
+
+def _reference_kernels():
+    """Swap the Fraction kernels into the series module for a `with` block."""
+    return mock.patch.multiple(series, **_fraction_series.KERNELS)
+
+
+@pytest.fixture(scope="module")
+def reference_at_13():
+    # a series' first M coefficients do not depend on how many follow, so one
+    # reference derivation per family covers every order up to 13
+    with _reference_kernels():
+        return {name: derive(13).coeffs for name, derive in _FAMILIES.items()}
+
+
+@pytest.mark.parametrize("order", range(1, 14))
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_derivation_equals_fraction_reference(reference_at_13, family, order):
+    assert _FAMILIES[family](order).coeffs == reference_at_13[family][:order]
+
+
+@pytest.mark.parametrize("family", sorted(set(_FAMILIES) - {"zeta"}))
+def test_one_reversion_per_derivation(monkeypatch, family):
+    calls = []
+    revert = TruncatedSeries.revert
+
+    def counted(self):
+        calls.append(self)
+        return revert(self)
+
+    monkeypatch.setattr(TruncatedSeries, "revert", counted)
+    _FAMILIES[family](5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_order_cap_applies_to_the_requested_order(family):
+    # the work lengths inside run up to 8 terms past the order asked for
+    assert _FAMILIES[family](30).coeffs[:13] == _FAMILIES[family](13).coeffs
+    with pytest.raises(ValueError, match="orders beyond 30"):
+        _FAMILIES[family](31)
+
+
+_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_ring = st.builds(EC, _rational, _rational, _rational)
+_nonzero = _ring.filter(lambda c: not c.is_zero)
+_tail = st.lists(_ring, max_size=6).map(tuple)
+
+
+def _series_from(*head):
+    """Series of the drawn leading coefficients followed by a short tail."""
+    return st.tuples(*head, _tail).map(lambda p: TruncatedSeries(p[:-1] + p[-1]))
+
+
+_series = _series_from(_ring)
+_units = _series_from(_nonzero)
+# constant terms with a square root and a cube root in the ring
+_rooted = _series_from(st.sampled_from([ONE, EC(F(4)), EC(F(1, 4)), EC(F(64)), EC(F(729, 64))]))
+_no_constant = _series_from(st.just(ZERO))
+_revertible = _series_from(st.just(ZERO), _nonzero)
+_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class TestLatticeProperties:
+    @_PROPERTY
+    @given(_series, _series)
+    def test_mul(self, a, b):
+        m = min(len(a), len(b))
+        assert a.mul(b).coeffs == tuple(_fraction_series._mul_lists(a.coeffs, b.coeffs, m))
+
+    @_PROPERTY
+    @given(_units)
+    def test_inverse(self, s):
+        inv = s.inverse()
+        assert inv.coeffs == tuple(_fraction_series._inv_list(s.coeffs))
+        assert s.mul(inv).coeffs == (ONE,) + (ZERO,) * (len(s) - 1)
+
+    @_PROPERTY
+    @given(_rooted, st.sampled_from([(1, 2), (2, 3), (3, 2), (-1, 2)]))
+    def test_pow_rational(self, s, power):
+        got = s.pow_rational(*power)
+        with _reference_kernels():
+            assert got.coeffs == s.pow_rational(*power).coeffs
+
+    @_PROPERTY
+    @given(_series, _no_constant)
+    def test_compose(self, f, g):
+        m = min(len(f), len(g))
+        expected = _fraction_series._compose_lists(f.coeffs[:m], g.coeffs[:m], m)
+        assert f.compose(g).coeffs == tuple(expected)
+
+    @_PROPERTY
+    @given(_revertible)
+    def test_revert(self, s):
+        r = s.revert()
+        with _reference_kernels():
+            assert r.coeffs == s.revert().coeffs
+        assert s.compose(r).coeffs == (ZERO, ONE) + (ZERO,) * (len(s) - 2)
