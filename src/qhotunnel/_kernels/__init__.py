@@ -1,12 +1,7 @@
-"""Hot-loop kernels: compiled extension when available, numpy fallback otherwise."""
+"""Hot-loop kernel: the block-renormalised numpy recurrence."""
 
-try:
-    from ._hermite_cy import psi_scaled_grid
+from ._hermite_py import psi_scaled_grid
 
-    BACKEND = "cython"
-except ImportError:  # extension not built
-    from ._hermite_py import psi_scaled_grid
-
-    BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["psi_scaled_grid", "BACKEND"]

@@ -1,4 +1,4 @@
-"""Pure-numpy fallback for the scaled oscillator-eigenfunction kernel.
+"""The scaled oscillator-eigenfunction kernel, in numpy.
 
 For a fixed quantum number ``n`` and a grid of positions, run the
 orthonormal three-term recurrence
@@ -17,9 +17,11 @@ values equal those of a kernel that renormalises after every step,
 wherever that one stays finite; this one also stays finite for
 subnormal x.
 
-The compiled twin in ``_hermite_cy`` still renormalises after every step,
-and so still overflows for |x| below about 2^-1022 when n >= 2; its
-generated C file cannot be regenerated without Cython.
+The step allocates nothing: the coefficients are computed once per call,
+and each step is four ufunc calls writing into two state arrays and one
+scratch array, with the roundings of (c1*x)*m - c2*pm in that order (no
+fused multiply-add, no reassociation).  This is the package's only
+kernel; there is no compiled twin.
 """
 
 from __future__ import annotations
@@ -78,17 +80,29 @@ def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, e = _seed(x)
     if n == 0:
         return m, e
+    # IEEE division and sqrt round correctly, so these hold the same doubles
+    # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0))
+    k = np.arange(n, dtype=np.float64)
+    c1 = np.sqrt(2.0 / (k + 1.0)).tolist()
+    c2 = np.sqrt(k / (k + 1.0)).tolist()
     pm = np.zeros_like(m)
+    t = np.empty_like(m)
     block = _block_length(x)
     for start in range(0, n, block):
-        for k in range(start, min(start + block, n)):
-            c1 = math.sqrt(2.0 / (k + 1))
-            c2 = math.sqrt(k / (k + 1.0))
-            m, pm = c1 * x * m - c2 * pm, m
-        _, s = np.frexp(np.maximum(np.abs(m), np.abs(pm)))
-        m = np.ldexp(m, -s)
-        pm = np.ldexp(pm, -s)
+        for j in range(start, min(start + block, n)):
+            # (c1*x)*m - c2*pm, rounded in that order, into pm's storage
+            np.multiply(x, c1[j], t)
+            np.multiply(t, m, t)
+            np.multiply(pm, c2[j], pm)
+            np.subtract(t, pm, pm)
+            m, pm = pm, m
+        np.abs(m, t)
+        np.maximum(t, np.abs(pm), out=t)
+        _, s = np.frexp(t)
         e += s
+        np.negative(s, s)
+        np.ldexp(m, s, m)
+        np.ldexp(pm, s, pm)
     m, de = np.frexp(m)
     e = np.where(m == 0.0, 0, e + de)
     return m, e.astype(np.int64)

@@ -116,11 +116,29 @@ def eval_density(mode: OscillatorMode, x: float) -> ScaledValue:
 
 
 def eval_psi_grid(mode: OscillatorMode, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of eval_psi: (mantissa, exponent) arrays, for every |x| <= X_MAX."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.abs(x) <= X_MAX):  # also rejects nan
-        raise ValueError(f"psi_n(x) needs |x| <= 2^26, got max |x| = {np.max(np.abs(x))}")
-    return psi_scaled_grid(mode.n, x)
+    """Vector form of eval_psi: (mantissa, exponent) arrays, for every |x| <= X_MAX.
+
+    Parity psi_n(-x) = (-1)^n psi_n(x) holds bit for bit in the kernel's
+    arithmetic: its seed depends on x only through x*x and a Dekker split,
+    which is odd in x, each step negates exactly with x, and the rescaling
+    reads only magnitudes.  So when the grid holds negative points the
+    kernel runs once on the distinct |x|, and the values are gathered back
+    and, for odd n, negated where x < 0.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    if not np.all(ax <= X_MAX):  # also rejects nan
+        raise ValueError(f"psi_n(x) needs |x| <= 2^26, got max |x| = {np.max(ax)}")
+    negative = x < 0.0
+    if not negative.any():
+        return psi_scaled_grid(mode.n, x)
+    distinct, inverse = np.unique(ax, return_inverse=True)
+    m, e = psi_scaled_grid(mode.n, distinct)
+    inverse = inverse.reshape(x.shape)
+    m, e = m[inverse], e[inverse]
+    if mode.n % 2:
+        np.negative(m, out=m, where=negative)
+    return m, e
 
 
 def density_floats(mode: OscillatorMode, x: np.ndarray) -> np.ndarray:

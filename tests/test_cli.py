@@ -111,6 +111,11 @@ class TestValidate:
         assert out.startswith("n=100 max_rel_deviation=")
         assert float(out.strip().rsplit("=", 1)[1]) <= 1e-5
 
+    def test_sweep_text_is_stable(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--ns", "100,400")
+        assert code == 0
+        assert out == "n=100 max_rel_deviation=2.3750e-09\nn=400 max_rel_deviation=3.8206e-11\n"
+
 
 class TestExitCodes:
     def test_flag_errors_exit_2(self, capsys):
