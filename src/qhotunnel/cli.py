@@ -125,9 +125,6 @@ def _run_table(args) -> int:
 
 def _run_coeffs(args) -> int:
     order = args.order
-    if not 1 <= order <= 25:
-        print("--order must be 1..25", file=sys.stderr)
-        return 2
     if args.which == "alpha":
         s = series.derive_phi_series(order)
     elif args.which == "beta":

@@ -35,7 +35,11 @@ class OscillatorMode:
             raise TypeError(f"quantum number must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"quantum number must be >= 0, got {self.n}")
-        object.__setattr__(self, "nu", math.sqrt(2 * self.n + 1))
+        try:
+            nu2 = float(2 * self.n + 1)
+        except OverflowError:
+            raise ValueError("quantum number too large: 2n + 1 is not a finite double") from None
+        object.__setattr__(self, "nu", math.sqrt(nu2))
 
 
 @dataclass(frozen=True)
@@ -74,12 +78,6 @@ class ScaledValue:
             return ScaledValue(0.0, 0)
         m, de = math.frexp(self.mantissa * self.mantissa)
         return ScaledValue(m, 2 * self.exponent + de)
-
-    def scaled_by(self, factor: float, extra_exponent: int = 0) -> "ScaledValue":
-        if self.mantissa == 0.0 or factor == 0.0:
-            return ScaledValue(0.0, 0)
-        m, de = math.frexp(self.mantissa * factor)
-        return ScaledValue(m, self.exponent + extra_exponent + de)
 
     def log2(self) -> float:
         if self.mantissa == 0.0:

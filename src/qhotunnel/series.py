@@ -1,28 +1,27 @@
-"""Exact truncated power series over the rationals extended by 2^(1/3).
+"""Exact truncated power series for the turning-point expansions.
 
 Every expansion coefficient that the asymptotic machinery needs (the
 turning-point map, its inverse, phi, b0, a1 and the order-nu^-4 weight)
 is re-derived here from first principles in exact arithmetic, so the
 golden tests can demand equality rather than closeness.
 
-A coefficient is c0 + c1*2^(1/3) + c2*2^(2/3) with rational c's; this is
-a field, since 2^(1/3) has degree 3 over Q.  Half-integer powers such as
-u^{3/2} or zeta^{-1/2} are never stored in a series: the derivations
-factor them out by hand and cancel them before any ring arithmetic
-happens (they always can, which is the point of the zeta variable).
+The coefficients lie in Q(2^(1/3)), but the field never enters the
+arithmetic.  The map is zeta = 2^(1/3) s with s = u T(u)^(2/3) rational
+(u = x - 1), so every family is f(zeta) = 2^(a/3) g(2^(-1/3) zeta) with g a
+rational series in s and a a fixed integer per family; coefficient k of f
+is the monomial g_k 2^((a - k)/3).  All derivations therefore run over Q in
+the variable s, and the cube root of 2 is applied only on output
+(ExactSeries, ExactCoefficient).  Half-integer powers such as u^{3/2} or
+zeta^{-1/2} are never stored in a series: the derivations factor them out
+by hand and cancel them before any series arithmetic happens.
 
-The series kernels (products, scaling, inverses, rational powers and
-compositions) work on an integer lattice: each input series is converted
-once to integer triples (n0, n1, n2) over one common denominator d, so that
-coefficient k is (n0 + n1*2^(1/3) + n2*2^(2/3)) / d.  A ring product is
-then nine int multiplications with alpha^3 = 2 folded in, and no gcd;
-ExactCoefficients of reduced Fractions are built only on output.  Inverses
-use Newton doubling g <- g(2 - a*g) (Brent & Kung, JACM 1978) with the
-common denominator reduced once per doubling; rational powers run their
-recurrence over a denominator fixed in advance, so every division in it
-is exact.  Products, inverses, powers and reversions of series are unique,
-so the results equal those of Fraction arithmetic coefficient for
-coefficient.
+A TruncatedSeries holds integer numerators over one common denominator, so
+a product is plain int arithmetic with no gcd.  Inverses use Newton
+doubling g <- g(2 - a*g) (Brent & Kung, JACM 1978) with the denominator
+reduced once per doubling; powers run their recurrence over a denominator
+fixed in advance, so every division in it is exact.  Products, inverses,
+powers and reversions of series are unique, so the results equal those of
+Fraction arithmetic coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-ZETA0 = (0.75 * math.pi) ** (2.0 / 3.0)  # inversion radius, from the x = -1 singularity
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
@@ -41,7 +39,7 @@ class ZeroLeadingTerm(ZeroDivisionError):
 
 
 class NonRepresentablePower(ArithmeticError):
-    """Requested rational power of the constant term leaves the ring."""
+    """Power of a series whose constant term is not 1."""
 
 
 class NotInvertible(ArithmeticError):
@@ -60,94 +58,8 @@ class ExactCoefficient:
     c1: Fraction = Fraction(0)
     c2: Fraction = Fraction(0)
 
-    @classmethod
-    def from_rational(cls, p, q=1) -> "ExactCoefficient":
-        return cls(Fraction(p, q))
-
-    def __add__(self, other: "ExactCoefficient") -> "ExactCoefficient":
-        return ExactCoefficient(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-
-    def __sub__(self, other: "ExactCoefficient") -> "ExactCoefficient":
-        return ExactCoefficient(self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
-
     def __neg__(self) -> "ExactCoefficient":
         return ExactCoefficient(-self.c0, -self.c1, -self.c2)
-
-    def __mul__(self, other) -> "ExactCoefficient":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return ExactCoefficient(self.c0 * q, self.c1 * q, self.c2 * q)
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = other.c0, other.c1, other.c2
-        # alpha^3 = 2, alpha^4 = 2*alpha
-        return ExactCoefficient(
-            a0 * b0 + 2 * (a1 * b2 + a2 * b1),
-            a0 * b1 + a1 * b0 + 2 * a2 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0,
-        )
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
-
-    def inverse(self) -> "ExactCoefficient":
-        a, b, c = self.c0, self.c1, self.c2
-        n = a**3 + 2 * b**3 + 4 * c**3 - 6 * a * b * c
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero ring element")
-        return ExactCoefficient((a * a - 2 * b * c) / n, (2 * c * c - a * b) / n, (b * b - a * c) / n)
-
-    def pow_int(self, k: int) -> "ExactCoefficient":
-        if k < 0:
-            return self.inverse().pow_int(-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def as_monomial(self) -> tuple[Fraction, int] | None:
-        """(rational, j) with value = rational * 2^(j/3), if single-component."""
-        parts = [(self.c0, 0), (self.c1, 1), (self.c2, 2)]
-        nz = [(r, j) for r, j in parts if r != 0]
-        if not nz:
-            return Fraction(0), 0
-        if len(nz) > 1:
-            return None
-        return nz[0]
-
-    def nth_root(self, q: int) -> "ExactCoefficient":
-        """Exact q-th root, when it exists in the ring (monomials only)."""
-        if q == 1:
-            return self
-        mono = self.as_monomial()
-        if mono is None:
-            raise NonRepresentablePower(f"no representable {q}-th root of {self}")
-        rat, j = mono
-        if rat == 0:
-            return ZERO
-        if rat < 0 and q % 2 == 0:
-            raise NonRepresentablePower(f"even root of negative element {self}")
-        sign = -1 if rat < 0 else 1
-        num, den = abs(rat.numerator), rat.denominator
-        v_num = (num & -num).bit_length() - 1
-        v_den = (den & -den).bit_length() - 1
-        thirds = 3 * (v_num - v_den) + j
-        if thirds % q:
-            raise NonRepresentablePower(f"2-power of {self} is not a {q}-th power")
-        num_odd, den_odd = num >> v_num, den >> v_den
-        rn = _int_nth_root(num_odd, q)
-        rd = _int_nth_root(den_odd, q)
-        if rn is None or rd is None:
-            raise NonRepresentablePower(f"rational part of {self} is not a {q}-th power")
-        t = thirds // q
-        root = ExactCoefficient(Fraction(sign * rn, rd)) * _two_thirds_power(t)
-        return root
 
     def to_float(self) -> float:
         return float(self.c0) + float(self.c1) * _CBRT2 + float(self.c2) * _CBRT2 * _CBRT2
@@ -156,41 +68,23 @@ class ExactCoefficient:
         return format_coefficient(self)
 
 
-ZERO = ExactCoefficient()
-ONE = ExactCoefficient(Fraction(1))
-ALPHA = ExactCoefficient(Fraction(0), Fraction(1))  # 2^(1/3)
-
-
-def _int_nth_root(n: int, q: int) -> int | None:
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / q))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**q == n:
-            return cand
-    return None
-
-
-def _two_thirds_power(t: int) -> ExactCoefficient:
-    """2^(t/3) as a ring element (t any integer)."""
-    j = t % 3
-    k = (t - j) // 3
-    base = [ONE, ALPHA, ALPHA * ALPHA][j]
-    return base * Fraction(2) ** k
+def _monomial(r: Fraction, e: int) -> ExactCoefficient:
+    """r * 2^(e/3) as a field element (e any integer)."""
+    j = e % 3
+    parts = [Fraction(0)] * 3
+    parts[j] = r * Fraction(2) ** ((e - j) // 3)
+    return ExactCoefficient(*parts)
 
 
 def format_coefficient(c: ExactCoefficient) -> str:
     """Exact display form 'p/q * 2^(e/3)', folding cube powers into the rational."""
-    mono = c.as_monomial()
-    if mono is None:
-        parts = []
-        for r, tag in ((c.c0, ""), (c.c1, "*2^(1/3)"), (c.c2, "*2^(2/3)")):
-            if r != 0:
-                parts.append(f"{r}{tag}")
-        return " + ".join(parts).replace("+ -", "- ")
-    rat, j = mono
-    if rat == 0:
+    parts = [(r, j) for j, r in enumerate((c.c0, c.c1, c.c2)) if r != 0]
+    if not parts:
         return "0"
+    if len(parts) > 1:
+        tags = ("", "*2^(1/3)", "*2^(2/3)")
+        return " + ".join(f"{r}{tags[j]}" for r, j in parts).replace("+ -", "- ")
+    rat, j = parts[0]
     num, den = rat.numerator, rat.denominator
     sign = "-" if num < 0 else ""
     num = abs(num)
@@ -207,32 +101,11 @@ def format_coefficient(c: ExactCoefficient) -> str:
     return f"{sign}{head}2^({e}/3){tail}"
 
 
-# ---------------------------------------------------------------------------
-# Truncated series
-# ---------------------------------------------------------------------------
-
-
-def _as_coeff(v) -> ExactCoefficient:
-    if isinstance(v, ExactCoefficient):
-        return v
-    return ExactCoefficient(Fraction(v))
-
-
 @dataclass(frozen=True)
-class TruncatedSeries:
-    """Polynomial truncation sum coeffs[k] * var^k, exact coefficients."""
+class ExactSeries:
+    """A derived expansion: sum coeffs[k] * var^k with coefficients in Q(2^(1/3))."""
 
     coeffs: tuple[ExactCoefficient, ...]
-    var_name: str = "u"
-    radius_note: float | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 1:
-            raise ValueError("a truncated series needs at least one coefficient")
-
-    @classmethod
-    def from_list(cls, vals: Iterable, var_name: str = "u", radius_note=None) -> "TruncatedSeries":
-        return cls(tuple(_as_coeff(v) for v in vals), var_name, radius_note)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -240,110 +113,8 @@ class TruncatedSeries:
     def coefficient(self, k: int) -> ExactCoefficient:
         return self.coeffs[k]
 
-    def _wrap(self, coeffs: Sequence[ExactCoefficient]) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(coeffs), self.var_name, self.radius_note)
-
-    def truncate(self, m: int) -> "TruncatedSeries":
-        return self._wrap(self.coeffs[:m])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(len(self), len(other))
-        return self._wrap([self.coeffs[k] + other.coeffs[k] for k in range(m)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(len(self), len(other))
-        return self._wrap([self.coeffs[k] - other.coeffs[k] for k in range(m)])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self._wrap([-c for c in self.coeffs])
-
-    def scale(self, factor) -> "TruncatedSeries":
-        return self._wrap(_mul_lists(self.coeffs, [_as_coeff(factor)], len(self)))
-
-    def add_const(self, v) -> "TruncatedSeries":
-        c = list(self.coeffs)
-        c[0] = c[0] + _as_coeff(v)
-        return self._wrap(c)
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(len(self), len(other))
-        return self._wrap(_mul_lists(self.coeffs, other.coeffs, m))
-
-    def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(len(self), len(other))
-        return self._wrap(_mul_lists(self.coeffs, _inv_list(other.coeffs[:m]), m))
-
-    def inverse(self) -> "TruncatedSeries":
-        return self._wrap(_inv_list(self.coeffs))
-
-    def pow_rational(self, num: int, den: int = 1) -> "TruncatedSeries":
-        r = Fraction(num, den)
-        if r.denominator == 1:
-            return self._pow_int(r.numerator)
-        c = self.coeffs[0]
-        if c.is_zero:
-            raise ZeroLeadingTerm("rational power needs a nonzero constant term")
-        root = c.nth_root(r.denominator)
-        c_pow = root.pow_int(r.numerator)
-        t = self.scale(c.inverse())
-        return self._wrap(_binomial_list(t.coeffs, r)).scale(c_pow)
-
-    def _pow_int(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            return self.inverse()._pow_int(-k)
-        out = self._wrap([ONE] + [ZERO] * (len(self) - 1))
-        base = self
-        while k:
-            if k & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return out
-
-    def shift_up(self, k: int) -> "TruncatedSeries":
-        """Multiply by var^k, keeping length (high coefficients fall off)."""
-        return self._wrap(([ZERO] * k + list(self.coeffs))[: len(self) + k])
-
-    def shift_down(self, k: int, *, error=PoleCancellationFailure) -> "TruncatedSeries":
-        """Divide by var^k; the k lowest coefficients must vanish exactly."""
-        for j in range(k):
-            if not self.coeffs[j].is_zero:
-                raise error(
-                    f"coefficient of {self.var_name}^{j} is {self.coeffs[j]}, expected 0"
-                )
-        return self._wrap(self.coeffs[k:])
-
-    def derivative(self) -> "TruncatedSeries":
-        if len(self) == 1:
-            return self._wrap([ZERO])
-        return self._wrap([self.coeffs[k] * k for k in range(1, len(self))])
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        if not inner.coeffs[0].is_zero:
-            raise ValueError("composition needs a zero constant term in the inner series")
-        m = min(len(self), len(inner))
-        return inner._wrap(_compose_lists(self.coeffs[:m], inner.coeffs[:m], m))
-
-    def revert(self) -> "TruncatedSeries":
-        """Compositional inverse: self(revert(self)) = identity."""
-        if not self.coeffs[0].is_zero:
-            raise NotInvertible("reversion needs a zero constant term")
-        if len(self) < 2 or self.coeffs[1].is_zero:
-            raise NotInvertible("reversion needs an invertible linear term")
-        m = len(self)
-        s = list(self.coeffs)
-        r = [ZERO, self.coeffs[1].inverse()]
-        while len(r) < m:
-            L = min(2 * len(r), m)
-            rp = r + [ZERO] * (L - len(r))
-            sc = (s + [ZERO] * L)[:L]
-            comp = _compose_lists(sc, rp, L)
-            comp[1] = comp[1] - ONE  # subtract the identity series
-            ds = [sc[k] * k for k in range(1, L)] + [ZERO]
-            den = _compose_lists(ds, rp, L)
-            corr = _mul_lists(comp, _inv_list(den), L)
-            r = [rp[k] - corr[k] for k in range(L)]
-        return self._wrap(r[:m])
+    def __neg__(self) -> "ExactSeries":
+        return ExactSeries(tuple(-c for c in self.coeffs))
 
     def evaluate(self, z: float) -> float:
         acc = 0.0
@@ -359,128 +130,218 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Kernels on the integer lattice
+# Rational truncated series
 # ---------------------------------------------------------------------------
 
 
-def _to_lattice(coeffs) -> tuple[int, list[tuple[int, int, int]]]:
-    """(d, triples): coeffs[k] = (n0 + n1*alpha + n2*alpha^2) / d, one d > 0."""
-    d = math.lcm(*(x.denominator for c in coeffs for x in (c.c0, c.c1, c.c2)))
-    return d, [
-        (
-            c.c0.numerator * (d // c.c0.denominator),
-            c.c1.numerator * (d // c.c1.denominator),
-            c.c2.numerator * (d // c.c2.denominator),
-        )
-        for c in coeffs
-    ]
+class TruncatedSeries:
+    """Rational truncation sum (nums[k] / den) * var^k.
+
+    Always reduced: den > 0 and gcd(den, *nums) == 1, so the pair is the
+    same for equal series.  The numerators stay in a list that each
+    operation builds once and never changes.
+    """
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, nums: list[int]) -> None:
+        if not nums:
+            raise ValueError("a truncated series needs at least one coefficient")
+        den, self.nums = _reduced(den, nums)
+        self.den = den
+
+    @classmethod
+    def from_list(cls, vals: Iterable) -> "TruncatedSeries":
+        fracs = [Fraction(v) for v in vals]
+        d = math.lcm(*(f.denominator for f in fracs))
+        return cls(d, [f.numerator * (d // f.denominator) for f in fracs])
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def coefficient(self, k: int) -> Fraction:
+        return Fraction(self.nums[k], self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def truncate(self, m: int) -> "TruncatedSeries":
+        return TruncatedSeries(self.den, self.nums[:m])
+
+    def _padded(self, m: int) -> "TruncatedSeries":
+        return TruncatedSeries(self.den, self.nums + [0] * (m - len(self)))
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        d = math.lcm(self.den, other.den)
+        sa, sb = d // self.den, d // other.den
+        return TruncatedSeries(d, [a * sa + b * sb for a, b in zip(self.nums, other.nums)])
+
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self + -other
+
+    def __neg__(self) -> "TruncatedSeries":
+        return TruncatedSeries(self.den, [-n for n in self.nums])
+
+    def scale(self, factor) -> "TruncatedSeries":
+        q = Fraction(factor)
+        return TruncatedSeries(self.den * q.denominator, [n * q.numerator for n in self.nums])
+
+    def add_const(self, v) -> "TruncatedSeries":
+        q = Fraction(v)
+        d = math.lcm(self.den, q.denominator)
+        s = d // self.den
+        nums = [n * s for n in self.nums]
+        nums[0] += q.numerator * (d // q.denominator)
+        return TruncatedSeries(d, nums)
+
+    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        m = min(len(self), len(other))
+        return TruncatedSeries(*_mul((self.den, self.nums), (other.den, other.nums), m))
+
+    def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        m = min(len(self), len(other))
+        return self.mul(other.truncate(m).inverse())
+
+    def inverse(self) -> "TruncatedSeries":
+        return TruncatedSeries(*_inv((self.den, self.nums)))
+
+    def power(self, r) -> "TruncatedSeries":
+        """self^r for rational r; the constant term must be 1."""
+        if self.nums[0] != self.den:
+            raise NonRepresentablePower("a series power needs the constant term 1")
+        return TruncatedSeries(*_binomial((self.den, self.nums), Fraction(r)))
+
+    def shift_up(self, k: int) -> "TruncatedSeries":
+        """Multiply by var^k, keeping length (high coefficients fall off)."""
+        return TruncatedSeries(self.den, ([0] * k + self.nums)[: len(self)])
+
+    def shift_down(self, k: int) -> "TruncatedSeries":
+        """Divide by var^k; the k lowest coefficients must vanish exactly."""
+        for j in range(k):
+            if self.nums[j]:
+                raise PoleCancellationFailure(
+                    f"coefficient of var^{j} is {self.coefficient(j)}, expected 0"
+                )
+        return TruncatedSeries(self.den, self.nums[k:])
+
+    def derivative(self) -> "TruncatedSeries":
+        return TruncatedSeries(self.den, [k * n for k, n in enumerate(self.nums)][1:] or [0])
+
+    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
+        if inner.nums[0]:
+            raise ValueError("composition needs a zero constant term in the inner series")
+        m = min(len(self), len(inner))
+        return TruncatedSeries(*_compose((self.den, self.nums), (inner.den, inner.nums), m))
+
+    def revert(self) -> "TruncatedSeries":
+        """Compositional inverse: self(revert(self)) = identity.
+
+        Newton's step r <- r - (self(r) - var) / self'(r) doubles the number
+        of correct terms.  The top term of self' that the truncation leaves
+        unknown is set to 0; no correct term of the step depends on it.
+        """
+        if self.nums[0]:
+            raise NotInvertible("reversion needs a zero constant term")
+        if len(self) < 2 or not self.nums[1]:
+            raise NotInvertible("reversion needs an invertible linear term")
+        m = len(self)
+        ds = self.derivative()._padded(m)
+        var = TruncatedSeries(1, [0, 1])._padded(m)
+        r = TruncatedSeries(self.nums[1], [0, self.den])
+        while len(r) < m:
+            n = min(2 * len(r), m)
+            r = r._padded(n)
+            step = (self.truncate(n).compose(r) - var.truncate(n)).div(ds.truncate(n).compose(r))
+            r = r - step
+        return r
 
 
-def _from_lattice(d: int, triples) -> list[ExactCoefficient]:
-    return [
-        ExactCoefficient(Fraction(n0, d), Fraction(n1, d), Fraction(n2, d))
-        for n0, n1, n2 in triples
-    ]
+# ---------------------------------------------------------------------------
+# Kernels on (denominator, numerators) pairs
+# ---------------------------------------------------------------------------
 
 
-def _reduce(d: int, triples) -> tuple[int, list[tuple[int, int, int]]]:
-    """Divide the denominator and every numerator by their common gcd."""
-    g = math.gcd(d, *(n for t in triples for n in t))
+def _reduced(d: int, nums: list[int]) -> tuple[int, list[int]]:
+    """Divide out the common gcd of the denominator and all numerators; d > 0."""
+    g = math.gcd(d, *nums)
+    if d < 0:
+        g = -g
     if g == 1:
-        return d, triples
-    return d // g, [(n0 // g, n1 // g, n2 // g) for n0, n1, n2 in triples]
+        return d, nums
+    return d // g, [n // g for n in nums]
 
 
-def _lattice_mul(a, b, m: int) -> list[tuple[int, int, int]]:
-    """Numerators of a*b mod var^m; the denominator is the product of both."""
-    # alpha^3 = 2, alpha^4 = 2*alpha: the doubled parts of b are formed once
-    bb = [(y0, y1, y2, 2 * y1, 2 * y2) for y0, y1, y2 in b[:m]]
-    o0 = [0] * m
-    o1 = [0] * m
-    o2 = [0] * m
-    for i, (x0, x1, x2) in enumerate(a[:m]):
-        if not (x0 or x1 or x2):
+def _mul(a, b, m: int) -> tuple[int, list[int]]:
+    """a*b mod var^m; the denominator is the product of both."""
+    (da, na), (db, nb) = a, b
+    out = [0] * m
+    for i, x in enumerate(na[:m]):
+        if not x:
             continue
         k = i
-        for y0, y1, y2, d1, d2 in bb[: m - i]:
-            o0[k] += x0 * y0 + x1 * d2 + x2 * d1
-            o1[k] += x0 * y1 + x1 * y0 + x2 * d2
-            o2[k] += x0 * y2 + x1 * y1 + x2 * y0
+        for y in nb[: m - i]:
+            out[k] += x * y
             k += 1
-    return list(zip(o0, o1, o2))
+    return da * db, out
 
 
-def _mul_lists(a, b, m):
-    da, la = _to_lattice(a[:m])
-    db, lb = _to_lattice(b[:m])
-    return _from_lattice(da * db, _lattice_mul(la, lb, m))
-
-
-def _inv_list(a):
+def _inv(a) -> tuple[int, list[int]]:
     """1/a by Newton doubling g <- g(2 - a*g), which doubles the correct terms."""
-    if a[0].is_zero:
+    da, na = a
+    if not na[0]:
         raise ZeroLeadingTerm("series inverse needs a nonzero constant term")
-    m = len(a)
-    da, la = _to_lattice(a)
-    dg, g = _to_lattice([a[0].inverse()])
+    m = len(na)
+    g = (na[0], [da])
     n = 1
     while n < m:
         n = min(2 * n, m)
-        # 2 - a*g over da*dg
-        e = [(-e0, -e1, -e2) for e0, e1, e2 in _lattice_mul(la, g, n)]
-        e[0] = (e[0][0] + 2 * da * dg, e[0][1], e[0][2])
-        dg, g = _reduce(dg * da * dg, _lattice_mul(g, e, n))
-    return _from_lattice(dg, g)
+        de, e = _mul(a, g, n)
+        e = [-v for v in e]
+        e[0] += 2 * de  # 2 - a*g
+        g = _reduced(*_mul(g, (de, e), n))
+    return g
 
 
-def _binomial_list(t, r: Fraction):
-    """(1 + w)^r for t = 1 + w (t[0] must be ONE), rational exponent r.
+def _binomial(t, r: Fraction) -> tuple[int, list[int]]:
+    """t^r for a series t with constant term 1, rational exponent r.
 
     With y = t^r, k y_k = sum_{i=1..k} (r i - (k - i)) t_i y_{k-i}.  If
     t = T/dt and r = p/q, then y_k has a denominator dividing
     q^k dt^k k!, so y is carried over the common denominator
     E = q^(m-1) dt^(m-1) (m-1)! and every division below is exact.
     """
-    m = len(t)
+    dt, nt = t
+    m = len(nt)
     p, q = r.numerator, r.denominator
-    dt, lt = _to_lattice(t)
     e = (q * dt) ** (m - 1) * math.factorial(m - 1)
-    y = [(e, 0, 0)]
+    y = [e]
     for k in range(1, m):
-        s0 = s1 = s2 = 0
+        s = 0
         for i in range(1, k + 1):
-            x0, x1, x2 = lt[i]
-            y0, y1, y2 = y[k - i]
-            w = p * i - q * (k - i)
-            s0 += w * (x0 * y0 + 2 * (x1 * y2 + x2 * y1))
-            s1 += w * (x0 * y1 + x1 * y0 + 2 * x2 * y2)
-            s2 += w * (x0 * y2 + x1 * y1 + x2 * y0)
-        div = k * q * dt
-        y.append((s0 // div, s1 // div, s2 // div))
-    return _from_lattice(e, y)
+            s += (p * i - q * (k - i)) * nt[i] * y[k - i]
+        y.append(s // (k * q * dt))
+    return e, y
 
 
-def _compose_lists(f, g, m):
-    """f(g) mod var^m by Horner's rule; g[0] must be zero.
+def _compose(f, g, m: int) -> tuple[int, list[int]]:
+    """f(g) mod var^m by Horner's rule; g's constant term must be zero.
 
     Each later Horner step multiplies by g and so raises the valuation by
     one; with k steps still to come only the first m - k terms matter.
     """
-    df, lf = _to_lattice(f[:m])
-    dg, lg = _to_lattice(g[:m])
-    d, out = df, [lf[m - 1]]
+    df, nf = f
+    d, out = df, nf[m - 1 : m]
     for k in range(m - 2, -1, -1):
-        prod = _lattice_mul(out, lg, m - k)
-        # prod / (d*dg) + f_k / df over their least common denominator
-        dp = d * dg
+        dp, prod = _mul((d, out), g, m - k)
+        # prod / dp + f_k / df over their least common denominator
         d = math.lcm(dp, df)
-        sp, sf = d // dp, d // df
+        sp = d // dp
         if sp != 1:
-            prod = [(n0 * sp, n1 * sp, n2 * sp) for n0, n1, n2 in prod]
-        n0, n1, n2 = prod[0]
-        prod[0] = (n0 + lf[k][0] * sf, n1 + lf[k][1] * sf, n2 + lf[k][2] * sf)
-        d, out = _reduce(d, prod)
-    return _from_lattice(d, out)
+            prod = [n * sp for n in prod]
+        prod[0] += nf[k] * (d // df)
+        d, out = _reduced(d, prod)
+    return d, out
 
 
 # ---------------------------------------------------------------------------
@@ -493,109 +354,119 @@ _MAX_ORDER = 30
 
 def _check_order(M: int) -> None:
     # the cap is on the order asked for; the work lengths inside run past it
-    if M > _MAX_ORDER:
-        raise ValueError(f"orders beyond {_MAX_ORDER} are not supported")
+    if not 1 <= M <= _MAX_ORDER:
+        raise ValueError(f"order must lie in 1..{_MAX_ORDER}, got {M}")
 
 
-def derive_zeta_series(M: int) -> TruncatedSeries:
+def _in_zeta(g: TruncatedSeries, a: int) -> ExactSeries:
+    """f(zeta) = 2^(a/3) g(2^(-1/3) zeta): coefficient k is g_k 2^((a - k)/3)."""
+    return ExactSeries(
+        tuple(_monomial(Fraction(n, g.den), a - k) for k, n in enumerate(g.nums))
+    )
+
+
+def derive_zeta_series(M: int) -> ExactSeries:
     """zeta as a series in u = x - 1, with M coefficients (degrees 0..M-1).
 
     Built by integrating d(zeta^{3/2})/dx = (3/2) sqrt(x^2-1): the factor
     sqrt(u(u+2)) splits into u^{1/2} * sqrt(2) * (1+u/2)^{1/2}, the
     half-integer power is absorbed into zeta^{3/2} = u^{3/2} sqrt(2) T(u),
-    and zeta = 2^{1/3} u T(u)^{2/3} stays inside the ring.
+    and zeta = 2^{1/3} s(u) with s = u T(u)^{2/3} rational.
     """
     _check_order(M)
-    return _zeta_series(M)
+    return ExactSeries(tuple(_monomial(c, 1) for c in _s_of_u(M).coeffs))
 
 
-def _zeta_series(M: int) -> TruncatedSeries:
+def _s_of_u(M: int) -> TruncatedSeries:
+    """s = 2^(-1/3) zeta = u T(u)^(2/3) as a series in u, M coefficients."""
     work = M + 2
-    h = TruncatedSeries.from_list([1, Fraction(1, 2)] + [0] * (work - 2))
-    c = h.pow_rational(1, 2)
-    # T(u) = (3/2) * sum c_k u^k / (k + 3/2)
-    T = TruncatedSeries(
-        tuple(c.coeffs[k] * Fraction(3, 2 * k + 3) for k in range(len(c))), "u", 2.0
-    )
-    zeta = T.pow_rational(2, 3).shift_up(1).scale(ALPHA)
-    return TruncatedSeries(zeta.coeffs[:M], "u", 2.0)
+    c = TruncatedSeries.from_list([1, Fraction(1, 2)] + [0] * (work - 2)).power(Fraction(1, 2))
+    # T(u) = (3/2) * sum c_k u^k / (k + 3/2) = sum 3 c_k u^k / (2k + 3)
+    lcm = math.lcm(*range(3, 2 * work + 2, 2))
+    T = TruncatedSeries(c.den * lcm, [3 * n * (lcm // (2 * k + 3)) for k, n in enumerate(c.nums)])
+    return T.power(Fraction(2, 3)).shift_up(1).truncate(M)
 
 
-def derive_inversion_series(M: int) -> TruncatedSeries:
+def derive_inversion_series(M: int) -> ExactSeries:
     """x as a series in zeta (constant term 1), M coefficients."""
     _check_order(M)
     # a one-term zeta series has no linear term to revert
-    u = _u_of_zeta(max(M, 2)).truncate(M)
-    return u.add_const(1)
+    u = _u_of_s(max(M, 2)).truncate(M)
+    return _in_zeta(u.add_const(1), 0)
 
 
-def _u_of_zeta(work: int) -> TruncatedSeries:
-    """u = x - 1 as a series in zeta: the one reversion of each derivation."""
-    return TruncatedSeries(_zeta_series(work).revert().coeffs, "zeta", ZETA0)
+def _u_of_s(work: int) -> TruncatedSeries:
+    """u = x - 1 as a series in s: the one reversion of each derivation."""
+    return _s_of_u(work).revert()
 
 
-# Each piece below takes u(zeta) with at least M + (its offset) coefficients
-# and cuts it to that length, so one reversion can serve two pieces.
+# Each piece below takes u(s) with at least M + (its offset) coefficients and
+# cuts it to that length, so one reversion can serve two pieces.  Each returns
+# g with f(zeta) = 2^(a/3) g(s) for the constant a its derive_* applies.
 _PHI_WORK, _B0_WORK, _A1_WORK = 3, 4, 5
 
 
 def _phi(u: TruncatedSeries, M: int) -> TruncatedSeries:
+    """phi = zeta/(x^2 - 1) = 2^(1/3) s/(u(u+2)): a = 1."""
     u = u.truncate(M + _PHI_WORK)
-    den = u.mul(u.add_const(2))  # u(u+2) = x^2 - 1, vanishes at zeta = 0
-    q = den.shift_down(1)
+    q = u.mul(u.add_const(2)).shift_down(1)  # u(u+2) = x^2 - 1, vanishes at s = 0
     return q.inverse().truncate(M)
 
 
-def derive_phi_series(M: int) -> TruncatedSeries:
+def derive_phi_series(M: int) -> ExactSeries:
     """phi(zeta) = zeta/(x^2-1) as a series in zeta, M coefficients."""
     _check_order(M)
-    return _phi(_u_of_zeta(M + _PHI_WORK), M)
+    return _in_zeta(_phi(_u_of_s(M + _PHI_WORK), M), 1)
 
 
-def _b_series(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(x, B) with B = u(u+2)/zeta; B(0) = 2^{2/3} so B^{3/2} is in the ring."""
+def _bn_series(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(x, Bn) with B = u(u+2)/zeta = 2^(2/3) Bn and Bn(0) = 1.
+
+    So B^(3/2) = 2 Bn^(3/2) and B^3 = 4 Bn^3 stay rational.
+    """
     x = u.add_const(1)
-    B = u.shift_down(1).mul(u.add_const(2))
-    return x, B
+    Bn = u.shift_down(1).mul(u.add_const(2)).scale(Fraction(1, 2))
+    return x, Bn
 
 
 def _b0(u: TruncatedSeries, M: int) -> TruncatedSeries:
-    x, B = _b_series(u.truncate(M + _B0_WORK))
-    b32 = B.pow_rational(3, 2)
-    x2 = x.mul(x)
-    p1 = x.mul(x2.add_const(-6)).div(b32).scale(Fraction(1, 12))
+    """b0 = -(1/2)[x(x^2-6)/(12 B^(3/2)) + 5/24]/zeta^2, zeta^2 = 2^(2/3) s^2: a = -2."""
+    x, Bn = _bn_series(u.truncate(M + _B0_WORK))
+    p1 = x.mul(x.mul(x).add_const(-6)).div(Bn.power(Fraction(3, 2))).scale(Fraction(1, 24))
     bracket = p1.add_const(Fraction(5, 24))
     return bracket.shift_down(2).scale(Fraction(-1, 2)).truncate(M)
 
 
-def derive_b0_series(M: int) -> TruncatedSeries:
+def derive_b0_series(M: int) -> ExactSeries:
     """b0(zeta) as a series in zeta (regular: the 1/zeta^2 pole cancels exactly)."""
     _check_order(M)
-    return _b0(_u_of_zeta(M + _B0_WORK), M)
+    return _in_zeta(_b0(_u_of_s(M + _B0_WORK), M), -2)
 
 
-def derive_beta_series(M: int) -> TruncatedSeries:
+def derive_beta_series(M: int) -> ExactSeries:
     """Coefficients beta_m with phi(zeta) b0(zeta) = -sum beta_m zeta^m."""
     _check_order(M)
     work = M + 4
-    u = _u_of_zeta(work + max(_PHI_WORK, _B0_WORK))
-    return (-_phi(u, work).mul(_b0(u, work))).truncate(M)
+    u = _u_of_s(work + max(_PHI_WORK, _B0_WORK))
+    # a = 1 for phi plus -2 for b0
+    return _in_zeta((-_phi(u, work).mul(_b0(u, work))).truncate(M), -1)
 
 
 def _a1(u: TruncatedSeries, M: int) -> TruncatedSeries:
-    x, B = _b_series(u.truncate(M + _A1_WORK))
+    """a1 = [(145 + 249x^2 - 9x^4)/B^3 - 7x(x^2-6)/B^(3/2) - 455/4]/(1152 zeta^3).
+
+    With B^3 = 4 Bn^3, B^(3/2) = 2 Bn^(3/2) and zeta^3 = 2 s^3: a = -3.
+    """
+    x, Bn = _bn_series(u.truncate(M + _A1_WORK))
     x2 = x.mul(x)
-    x4 = x2.mul(x2)
-    num1 = x2.scale(249) + x4.scale(-9)
-    num1 = num1.add_const(145)
-    piece1 = num1.div(B._pow_int(3))
-    piece2 = x.mul(x2.add_const(-6)).div(B.pow_rational(3, 2)).scale(-7)
-    total = piece1 + piece2
-    total = total.add_const(Fraction(-455, 4))
+    num1 = (x2.scale(249) + x2.mul(x2).scale(-9)).add_const(145)
+    piece1 = num1.div(Bn.power(3)).scale(Fraction(1, 4))
+    piece2 = x.mul(x2.add_const(-6)).div(Bn.power(Fraction(3, 2))).scale(Fraction(-7, 2))
+    total = (piece1 + piece2).add_const(Fraction(-455, 4))
     return total.shift_down(3).scale(Fraction(1, 1152)).truncate(M)
 
 
-def derive_a1_series(M: int) -> TruncatedSeries:
+def derive_a1_series(M: int) -> ExactSeries:
     """a1(zeta) as a series in zeta.
 
     The three singular pieces carry a zeta^{-3} prefactor after the
@@ -603,13 +474,14 @@ def derive_a1_series(M: int) -> TruncatedSeries:
     otherwise PoleCancellationFailure signals an implementation bug.
     """
     _check_order(M)
-    return _a1(_u_of_zeta(M + _A1_WORK), M)
+    return _in_zeta(_a1(_u_of_s(M + _A1_WORK), M), -3)
 
 
-def derive_nu4_weight_series(M: int) -> TruncatedSeries:
+def derive_nu4_weight_series(M: int) -> ExactSeries:
     """Series of -(1/576) phi (1 + 1152 f2), the order-nu^-4 density weight."""
     _check_order(M)
     work = M + 2
-    u = _u_of_zeta(work + max(_PHI_WORK, _A1_WORK))
-    a1 = _a1(u, work)
-    return _phi(u, work).mul(a1.scale(1152).add_const(3)).scale(Fraction(-1, 576)).truncate(M)
+    u = _u_of_s(work + max(_PHI_WORK, _A1_WORK))
+    # a1 = g/2 with g = _a1(u, work), so 1152 a1 + 3 = 576 g + 3 is rational
+    weight = _phi(u, work).mul(_a1(u, work).scale(576).add_const(3))
+    return _in_zeta(weight.scale(Fraction(-1, 576)).truncate(M), 1)

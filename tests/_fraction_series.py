@@ -1,71 +1,70 @@
-"""Reference series kernels: ring arithmetic on ExactCoefficients of Fractions.
+"""Reference series kernels: schoolbook recurrences on plain Fractions.
 
-Every ring product goes through ``ExactCoefficient.__mul__`` (about twenty
-Fraction operations, each with its gcd).  The package kernels carry whole
-series as integer triples over one common denominator instead.  Series
-products, inverses, rational powers and compositions are unique, so the
-two must agree coefficient for coefficient, with ``==``.
+They take and return the package kernels' (denominator, numerators) pairs,
+but convert them to Fractions and do every operation there (each with its
+gcd).  The package kernels work on integer numerators over one common
+denominator instead.  Series products, inverses, powers and compositions
+are unique, so the two must agree coefficient for coefficient, with ``==``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from qhotunnel.series import ONE, ZERO, ZeroLeadingTerm
+from qhotunnel.series import ZeroLeadingTerm
 
 
-def _mul_lists(a, b, m):
-    out = [ZERO] * m
+def _fractions(pair):
+    d, nums = pair
+    return [Fraction(n, d) for n in nums]
+
+
+def _pair(fracs):
+    d = math.lcm(*(f.denominator for f in fracs))
+    return d, [f.numerator * (d // f.denominator) for f in fracs]
+
+
+def _mul_fracs(a, b, m):
+    out = [Fraction(0)] * m
     for i, ai in enumerate(a[:m]):
-        if ai.is_zero:
-            continue
         for j, bj in enumerate(b[: m - i]):
-            if bj.is_zero:
-                continue
-            out[i + j] = out[i + j] + ai * bj
+            out[i + j] += ai * bj
     return out
 
 
-def _inv_list(a):
-    if a[0].is_zero:
+def _mul(a, b, m):
+    return _pair(_mul_fracs(_fractions(a), _fractions(b), m))
+
+
+def _inv(a):
+    a = _fractions(a)
+    if a[0] == 0:
         raise ZeroLeadingTerm("series inverse needs a nonzero constant term")
-    m = len(a)
-    inv0 = a[0].inverse()
-    out = [inv0] + [ZERO] * (m - 1)
-    for k in range(1, m):
-        acc = ZERO
-        for j in range(1, k + 1):
-            acc = acc + a[j] * out[k - j]
-        out[k] = -(inv0 * acc)
-    return out
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        out.append(-sum(a[j] * out[k - j] for j in range(1, k + 1)) / a[0])
+    return _pair(out)
 
 
-def _binomial_list(t, r: Fraction):
-    """(1 + w)^r for t = 1 + w (t[0] must be ONE), rational exponent r."""
-    m = len(t)
-    y = [ONE] + [ZERO] * (m - 1)
-    for k in range(1, m):
-        acc = ZERO
-        for i in range(1, k + 1):
-            acc = acc + (t[i] * i) * y[k - i] * r
-        for i in range(1, k):
-            acc = acc - (y[i] * i) * t[k - i]
-        y[k] = acc * Fraction(1, k)
-    return y
+def _binomial(t, r: Fraction):
+    """t^r for t with constant term 1: k y_k = sum_i (r i t_i y_{k-i}) - sum_i (i y_i t_{k-i})."""
+    t = _fractions(t)
+    y = [Fraction(1)]
+    for k in range(1, len(t)):
+        acc = sum(r * i * t[i] * y[k - i] for i in range(1, k + 1))
+        acc -= sum(i * y[i] * t[k - i] for i in range(1, k))
+        y.append(acc / k)
+    return _pair(y)
 
 
-def _compose_lists(f, g, m):
-    out = [ZERO] * m
-    out[0] = f[m - 1]
+def _compose(f, g, m):
+    f, g = _fractions(f), _fractions(g)
+    out = [f[m - 1]] + [Fraction(0)] * (m - 1)
     for k in range(m - 2, -1, -1):
-        out = _mul_lists(out, g, m)
-        out[0] = out[0] + f[k]
-    return out
+        out = _mul_fracs(out, g, m)
+        out[0] += f[k]
+    return _pair(out)
 
 
-KERNELS = {
-    "_mul_lists": _mul_lists,
-    "_inv_list": _inv_list,
-    "_binomial_list": _binomial_list,
-    "_compose_lists": _compose_lists,
-}
+KERNELS = {"_mul": _mul, "_inv": _inv, "_binomial": _binomial, "_compose": _compose}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhotunnel.asymptotics import (
     DomainError,
@@ -85,6 +87,13 @@ class TestInverseMap:
             x = x_of_zeta(zeta).x
             back = zeta_of_x(x).zeta
             assert abs(back - zeta) <= 1e-12 * max(zeta, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=1e6, exclude_min=True))
+    def test_round_trip_from_x(self, x):
+        # near x = 1 this runs through the float coefficients of both series
+        back = x_of_zeta(zeta_of_x(x).zeta).x
+        assert abs(back - x) <= 1e-13 * (x - 1.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,9 @@ from qhotunnel.quadrature import NonConvergence
 from ._oracles import FROZEN
 
 
+_HUGE_N = "1" + "0" * 400
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -92,7 +95,7 @@ class TestCoeffs:
             code, _, _ = run_cli(capsys, "coeffs", "--which", which, "--order", "3")
             assert code == 0
 
-    @pytest.mark.parametrize("order", [1, 25])
+    @pytest.mark.parametrize("order", [1, 25, 30])
     @pytest.mark.parametrize("which", ["alpha", "beta", "a1", "inversion"])
     def test_documented_order_range_runs(self, capsys, which, order):
         # the internal work lengths run past the order asked for
@@ -139,7 +142,18 @@ class TestExitCodes:
         assert "converge" in err
 
     @pytest.mark.parametrize(
-        "argv", [("exact", "--", "-1"), ("asym", "0"), ("table", "--ns", "0,1")]
+        "argv",
+        [
+            ("exact", "--", "-1"),
+            ("asym", "0"),
+            ("table", "--ns", "0,1"),
+            # 2n + 1 past the largest double
+            ("exact", _HUGE_N),
+            ("asym", _HUGE_N),
+            ("table", "--ns", _HUGE_N),
+            ("coeffs", "--which", "alpha", "--order", "0"),
+            ("coeffs", "--which", "alpha", "--order", "31"),
+        ],
     )
     def test_out_of_domain_arguments_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
