@@ -16,22 +16,34 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import quadrature as _quadrature
+from . import series as _series
 from ._dd import exp2_scaled, log2_exp_neg
 from .oscillator import OscillatorMode, ScaledValue
-from .series import (
+from .specialfn import (
+    _HALF_LN_2PI,
+    STIRLING_SWITCH,
+    DomainError,
+    _stirling_remainder,
+    ai_squared_moment,
+    airy_scaled,
+    log_gamma,
+)
+
+# Unused here, but perfbench/tracer.py wraps these names in this module, so
+# they stay bound.
+from .series import (  # noqa: F401
     derive_a1_series,
     derive_b0_series,
     derive_inversion_series,
     derive_phi_series,
     derive_zeta_series,
 )
-from .specialfn import DomainError, airy_scaled, gamma, log_gamma
+from .specialfn import gamma  # noqa: F401
 
 _X_SERIES_DELTA = 0.05   # closed form for x >= 1 + delta, series below
 _ZETA_SWITCH = 0.1       # same idea for phi/b0/a1
 _SERIES_ORDER = 13
 
-_SQRT_PI = 1.7724538509055159
 _GAMMA_THIRD = 2.6789385347077475    # Gamma(1/3)
 _GAMMA_2THIRDS = 1.3541179394264005  # Gamma(2/3)
 
@@ -54,28 +66,14 @@ class ExpansionResult:
 
 
 @lru_cache(maxsize=None)
-def _zeta_u_coeffs() -> tuple[float, ...]:
-    return tuple(derive_zeta_series(_SERIES_ORDER).float_coeffs())
+def _coeffs(family: str) -> tuple[float, ...]:
+    """Float coefficients of series.derive_<family>_series, derived on first use.
 
-
-@lru_cache(maxsize=None)
-def _x_zeta_coeffs() -> tuple[float, ...]:
-    return tuple(derive_inversion_series(_SERIES_ORDER).float_coeffs())
-
-
-@lru_cache(maxsize=None)
-def _phi_coeffs() -> tuple[float, ...]:
-    return tuple(derive_phi_series(_SERIES_ORDER).float_coeffs())
-
-
-@lru_cache(maxsize=None)
-def _b0_coeffs() -> tuple[float, ...]:
-    return tuple(derive_b0_series(_SERIES_ORDER).float_coeffs())
-
-
-@lru_cache(maxsize=None)
-def _a1_coeffs() -> tuple[float, ...]:
-    return tuple(derive_a1_series(_SERIES_ORDER).float_coeffs())
+    The derivation is looked up on the series module at call time, so a
+    wrapper installed there (perfbench/tracer.py) sees the call.
+    """
+    derive = getattr(_series, f"derive_{family}_series")
+    return tuple(derive(_SERIES_ORDER).float_coeffs())
 
 
 def _horner(coeffs, z: float) -> float:
@@ -96,7 +94,7 @@ def zeta_of_x(x: float) -> ZetaPoint:
     if not x >= 1.0:
         raise DomainError(f"the map is defined for x >= 1, got {x}")
     if x < 1.0 + _X_SERIES_DELTA:
-        zeta = _horner(_zeta_u_coeffs(), x - 1.0) if x > 1.0 else 0.0
+        zeta = _horner(_coeffs("zeta"), x - 1.0) if x > 1.0 else 0.0
     else:
         zeta = _zeta32_closed(x) ** (2.0 / 3.0)
     return ZetaPoint(x, zeta)
@@ -106,7 +104,7 @@ def x_of_zeta(zeta: float) -> ZetaPoint:
     """Inverse map via Newton on the closed form (series start for small zeta)."""
     if not zeta >= 0.0:
         raise DomainError(f"the inverse map is defined for zeta >= 0, got {zeta}")
-    x = _horner(_x_zeta_coeffs(), zeta)
+    x = _horner(_coeffs("inversion"), zeta)
     if zeta < 0.06:
         return ZetaPoint(x, zeta)
     try:
@@ -131,7 +129,7 @@ def x_of_zeta(zeta: float) -> ZetaPoint:
 def phi(zeta: float) -> float:
     """phi(zeta) = zeta/(x^2 - 1); regular and positive, phi(0) = 2^{-2/3}."""
     if zeta < _ZETA_SWITCH:
-        return _horner(_phi_coeffs(), zeta)
+        return _horner(_coeffs("phi"), zeta)
     x = x_of_zeta(zeta).x
     return zeta / ((x - 1.0) * (x + 1.0))
 
@@ -139,7 +137,7 @@ def phi(zeta: float) -> float:
 def b0(zeta: float) -> float:
     """First Ai'-channel coefficient function (negative, vanishing at infinity)."""
     if zeta < _ZETA_SWITCH:
-        return _horner(_b0_coeffs(), zeta)
+        return _horner(_coeffs("b0"), zeta)
     x = x_of_zeta(zeta).x
     w2 = (x - 1.0) * (x + 1.0)
     return -0.5 / math.sqrt(zeta) * (x * (x * x - 6.0) / (12.0 * w2**1.5) + 5.0 / (24.0 * zeta**1.5))
@@ -148,7 +146,7 @@ def b0(zeta: float) -> float:
 def a1(zeta: float) -> float:
     """Second Ai-channel coefficient function; the three pole pieces cancel."""
     if zeta < _ZETA_SWITCH:
-        return _horner(_a1_coeffs(), zeta)
+        return _horner(_coeffs("a1"), zeta)
     x = x_of_zeta(zeta).x
     x2 = x * x
     w2 = (x - 1.0) * (x + 1.0)
@@ -233,16 +231,10 @@ def integral_phi_ai2_asym(nu: float, M: int) -> ExpansionResult:
     """Watson expansion of the integral of phi(zeta) Ai^2(nu^{4/3} zeta)."""
     if not 1 <= M <= 5:
         raise ValueError("M must be 1..5")
-    alphas = _phi_coeffs()
+    alphas = _coeffs("phi")
     terms = []
     for m in range(M):
-        c = (
-            2.0
-            / _SQRT_PI
-            * alphas[m]
-            * math.factorial(m)
-            / (12.0 ** (m / 3.0 + 7.0 / 6.0) * gamma(m / 3.0 + 7.0 / 6.0))
-        )
+        c = alphas[m] * ai_squared_moment(m)
         p = -4.0 * m / 3.0 - 4.0 / 3.0
         terms.append((_nu_label(p), c * nu**p))
     value = math.fsum(v for _, v in terms)
@@ -257,27 +249,14 @@ def integral_phib0_dai2_asym(nu: float, M: int) -> ExpansionResult:
     """
     if not 1 <= M <= 4:
         raise ValueError("M must be 1..4")
-    betas = _beta_coeffs()
+    betas = _coeffs("beta")
     terms = [(_nu_label(-4.0 / 3.0), betas[0] * (3.0 * nu) ** (-4.0 / 3.0) / _GAMMA_2THIRDS**2)]
     for m in range(1, M):
-        c = (
-            2.0
-            / _SQRT_PI
-            * betas[m]
-            * math.factorial(m)
-            / (12.0 ** (m / 3.0 + 5.0 / 6.0) * gamma(m / 3.0 + 5.0 / 6.0))
-        )
+        c = betas[m] * m * ai_squared_moment(m - 1)
         p = -4.0 * m / 3.0 - 4.0 / 3.0
         terms.append((_nu_label(p), c * nu**p))
     value = math.fsum(v for _, v in terms)
     return ExpansionResult(value, tuple(terms), abs(terms[-1][1]))
-
-
-@lru_cache(maxsize=None)
-def _beta_coeffs() -> tuple[float, ...]:
-    from .series import derive_beta_series
-
-    return tuple(derive_beta_series(_SERIES_ORDER).float_coeffs())
 
 
 def _nu_label(p: float) -> str:
@@ -318,7 +297,7 @@ def tunnel_probability_asym(mode: OscillatorMode, form: str = "eq42") -> Expansi
         return ExpansionResult(t0 + t1, (("n^0", t0), ("n^(-2/3)", t1)), abs(t1))
 
     if form == "eq41":
-        pre = math.exp(_eq41_log_prefactor(n, nu))
+        pre = math.exp(_eq41_log_prefactor(n))
         b0c = 6.0 ** (-2.0 / 3.0) / g13sq
         b1c = -1.0 / (30.0 * math.pi * math.sqrt(3.0))
         a2 = 4.0 / 525.0 * 6.0 ** (-1.0 / 3.0) / g23sq
@@ -360,14 +339,23 @@ def tunnel_probability_asym(mode: OscillatorMode, form: str = "eq42") -> Expansi
     return ExpansionResult(value, t, abs(t[-1][1]))
 
 
-def _eq41_log_prefactor(n: int, nu: float) -> float:
-    """ln[2^{n+2} n! e^{n+1/2} / (sqrt(pi) nu^{2n+5/3})], exactly rounded sum."""
+def _eq41_log_prefactor(n: int) -> float:
+    """ln[2^{n+2} n! e^{n+1/2} / (sqrt(pi) nu^{2n+5/3})] with nu^2 = 2n + 1.
+
+    With Stirling's remainder S(n) = ln n! - (n + 1/2) ln n + n - (1/2) ln 2pi
+    and ln nu = (1/2) ln 2n + (1/2) log1p(1/(2n)), the n ln n terms cancel
+    analytically and every term left is O(ln n).
+    """
+    if n > STIRLING_SWITCH:
+        s = _stirling_remainder(float(n))
+    else:
+        s = math.fsum((log_gamma(n + 1.0), -(n + 0.5) * math.log(n), n, -_HALF_LN_2PI))
     terms = (
-        (n + 2) * math.log(2.0),
-        log_gamma(n + 1.0),
-        n + 0.5,
-        -0.5 * math.log(math.pi),
-        -(2 * n + 5.0 / 3.0) * math.log(nu),
+        5.0 / 3.0 * math.log(2.0),
+        -math.log(n) / 3.0,
+        0.5,
+        s,
+        -(n + 5.0 / 6.0) * math.log1p(0.5 / n),
     )
     return math.fsum(terms)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,13 @@ class OscillatorMode:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise TypeError(f"quantum number must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"quantum number must be >= 0, got {self.n}")
+        # a Python int, so that 2n + 1 cannot wrap (numpy integers would)
+        n = operator.index(self.n)
+        object.__setattr__(self, "n", n)
+        if n < 0:
+            raise ValueError(f"quantum number must be >= 0, got {n}")
         try:
-            nu2 = float(2 * self.n + 1)
+            nu2 = float(2 * n + 1)
         except OverflowError:
             raise ValueError("quantum number too large: 2n + 1 is not a finite double") from None
         object.__setattr__(self, "nu", math.sqrt(nu2))

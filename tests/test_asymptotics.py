@@ -143,11 +143,11 @@ class TestCoefficientFunctions:
                 - 7.0 * x * (x * x - 6.0) / (w2**1.5 * zeta**1.5)
                 - 455.0 / (4.0 * zeta**3)
             ) / 1152.0
-            from qhotunnel.asymptotics import _a1_coeffs, _b0_coeffs, _horner, _phi_coeffs
+            from qhotunnel.asymptotics import _coeffs, _horner
 
-            assert _horner(_phi_coeffs(), zeta) == pytest.approx(phi_closed, rel=1e-10)
-            assert _horner(_b0_coeffs(), zeta) == pytest.approx(b0_closed, rel=1e-10)
-            assert _horner(_a1_coeffs(), zeta) == pytest.approx(a1_closed, rel=1e-9)
+            assert _horner(_coeffs("phi"), zeta) == pytest.approx(phi_closed, rel=1e-10)
+            assert _horner(_coeffs("b0"), zeta) == pytest.approx(b0_closed, rel=1e-10)
+            assert _horner(_coeffs("a1"), zeta) == pytest.approx(a1_closed, rel=1e-9)
 
     def test_phi_bounded(self):
         bound = 2.0 ** (-2.0 / 3.0)
@@ -303,6 +303,33 @@ class TestTunnelProbabilityAsym:
         e41 = tunnel_probability_asym(OscillatorMode(100), "eq41").value
         e42 = tunnel_probability_asym(OscillatorMode(100), "eq42").value
         assert abs(e41 - e42) / e42 < 10.0 * REFERENCE_TABLE[100][1]
+
+    # ln[2^(n+2) n! e^(n+1/2) / (sqrt(pi) nu^(2n+5/3))], nu^2 = 2n + 1, from
+    # mpmath at 200 digits, rounded to 50
+    EQ41_LOG_PREFACTOR = {
+        21: "0.13062324912150380986137086088616539185768309787241",
+        800: "-1.0732189273425250009419284694321661233249197735974",
+        10**4: "-1.9148889891005072706515365079202910614922748418659",
+        10**5: "-2.6823986040505839795428645138913632657871660526088",
+        10**6: "-3.4499250933881200190291377001676026122578550361068",
+    }
+
+    @pytest.mark.parametrize("n", sorted(EQ41_LOG_PREFACTOR))
+    def test_eq41_log_prefactor_against_frozen(self, n):
+        from qhotunnel.asymptotics import _eq41_log_prefactor
+
+        assert abs(_eq41_log_prefactor(n) - float(self.EQ41_LOG_PREFACTOR[n])) <= 1e-15
+
+    @pytest.mark.parametrize("n", [10**20, 10**100])
+    def test_eq41_at_huge_n(self, capsys, n):
+        from qhotunnel import cli
+
+        assert cli.main(["asym", str(n), "--form", "eq41"]) == 0
+        assert "total" in capsys.readouterr().out
+        mode = OscillatorMode(n)
+        e41 = tunnel_probability_asym(mode, "eq41").value
+        e42 = tunnel_probability_asym(mode, "eq42").value
+        assert e41 == pytest.approx(e42, rel=1e-12)
 
     def test_rejects_n_zero_and_bad_form(self):
         with pytest.raises(DomainError):

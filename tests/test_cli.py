@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhotunnel import cli
+from qhotunnel.asymptotics import FORMS
 from qhotunnel.quadrature import NonConvergence
 
 from ._oracles import FROZEN
@@ -160,6 +165,28 @@ class TestExitCodes:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+# n log-uniform over [1, 10^400]: a decade, then a value inside it
+_ns = st.integers(0, 400).flatmap(lambda d: st.integers(10**d, 10 ** (d + 1) - 1))
+_asym_argv = st.builds(lambda n, form: ["asym", str(n), "--form", form], _ns, st.sampled_from(FORMS))
+_coeffs_argv = st.builds(
+    lambda which, order: ["coeffs", "--which", which, "--order", str(order)],
+    st.sampled_from(["alpha", "beta", "a1", "inversion"]),
+    st.integers(-5, 40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_asym_argv | _coeffs_argv)
+def test_no_asym_or_coeffs_argv_exits_1(argv):
+    # exact, table and validate cost O(n) per request and stay out of this sweep
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), argv
 
 
 def test_module_entry_point_runs():

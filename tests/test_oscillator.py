@@ -55,6 +55,12 @@ class TestMode:
     def test_numpy_integer_n_accepted(self):
         assert OscillatorMode(np.int64(5)).nu == math.sqrt(11.0)
 
+    def test_numpy_integer_n_does_not_wrap(self, recwarn):
+        # 2n + 1 would wrap in int64 arithmetic
+        mode = OscillatorMode(np.int64(2**62))
+        assert mode.nu == OscillatorMode(2**62).nu
+        assert len(recwarn) == 0
+
 
 class TestScaledValue:
     def test_zero_canonical(self):

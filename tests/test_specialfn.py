@@ -123,11 +123,32 @@ class TestErfc:
         for x, ref in ERFC_GRID:
             assert erfc(x) == pytest.approx(ref, rel=1e-13)
 
-    def test_branch_overlap(self):
-        from qhotunnel.specialfn import _erfc_cf, _erfc_series
 
-        for x in (1.2, 1.4, 1.5, 1.7, 2.0):
-            assert _erfc_series(x) == pytest.approx(_erfc_cf(x), rel=5e-14)
+@pytest.mark.parametrize(
+    "fn, x, expected",
+    [
+        (gamma, 171.0, 7.257415615307998e306),
+        (gamma, 171.7, DomainError),  # Gamma overflows a double
+        (gamma, 1e-320, DomainError),  # ~1/x overflows
+        (gamma, math.inf, DomainError),
+        (gamma, math.nan, DomainError),
+        (log_gamma, 1e-320, -math.log(1e-320)),
+        (log_gamma, math.inf, DomainError),
+        (log_gamma, math.nan, DomainError),
+        (log_gamma, 1.7e308, DomainError),  # ln Gamma itself overflows
+        (erfc, math.inf, 0.0),
+        (erfc, -math.inf, 2.0),
+        (erfc, math.nan, math.nan),
+    ],
+)
+def test_special_function_edges(fn, x, expected):
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            fn(x)
+    elif math.isnan(expected):
+        assert math.isnan(fn(x))
+    else:
+        assert fn(x) == pytest.approx(expected, rel=1e-15)
 
 
 class TestAiSquaredMoments:
