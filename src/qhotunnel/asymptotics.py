@@ -164,11 +164,22 @@ def a1(zeta: float) -> float:
 
 
 def _log_norm_prefactor(n: int, nu: float) -> float:
-    """ln of the prefactor tying the Airy form to the normalised psi_n.
+    """ln of the prefactor tying the Airy form to the normalised psi_n:
+    ln[2^{(n+1)/2} sqrt(n!) e^{n/2+1/4} / (pi^{1/4} nu^{n+2/3})].
 
-    The terms are each ~n ln n and cancel to O(ln nu); they are summed
-    exactly rounded so no digits are lost at n ~ 1000.
+    Beyond STIRLING_SWITCH it is half of _eq41_log_prefactor, whose n ln n
+    terms cancel analytically, plus ln[nu^(1/6) / sqrt(2)] with ln nu taken
+    as (1/2)[ln 2n + log1p(1/(2n))].  Up to it the five terms (each ~n ln n)
+    are summed exactly rounded, which is the more accurate route there.
     """
+    if n > STIRLING_SWITCH:
+        terms = (
+            0.5 * _eq41_log_prefactor(n),
+            math.log(n) / 12.0,
+            math.log1p(0.5 / n) / 12.0,
+            -5.0 / 12.0 * math.log(2.0),
+        )
+        return math.fsum(terms)
     terms = (
         -0.25 * math.log(math.pi),
         0.5 * (n + 1) * math.log(2.0),

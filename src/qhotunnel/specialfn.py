@@ -192,10 +192,16 @@ def erfc(x: float) -> float:
 # Airy-squared moments --------------------------------------------------------
 
 
+# m! stops being a finite double past 170
+_MOMENT_MAX = 170
+
+
 def ai_squared_moment(m: int) -> float:
-    """Closed form for the integral of t^m Ai^2(t) over [0, inf)."""
+    """Closed form for the integral of t^m Ai^2(t) over [0, inf), 0 <= m <= 170."""
     if m < 0:
         raise DomainError(f"moment order must be >= 0, got {m}")
+    if m > _MOMENT_MAX:
+        raise DomainError(f"moment order must be <= {_MOMENT_MAX}, got {m}: m! overflows a double")
     return (
         2.0
         * math.factorial(m)

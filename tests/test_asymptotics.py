@@ -200,6 +200,23 @@ class TestUniformApprox:
         with pytest.raises(DomainError):
             uniform_psi_approx(OscillatorMode(10), 0.99)
 
+    # ln[2^((n+1)/2) sqrt(n!) e^(n/2+1/4) / (pi^(1/4) nu^(n+2/3))], nu^2 = 2n + 1,
+    # from mpmath at 200 digits, rounded to 50
+    LOG_NORM_PREFACTOR = {
+        21: "0.032171377255242785511472912492814998187686163829542",
+        400: "-0.2106335069339182425175046608058839972507787634166",
+        10**4: "-0.47872328888971214748493205600104673138887351012506",
+        10**6: "-0.8624812837636914630926142857623866959711632879628",
+        10**20: "-3.5488304964234322611067640405330334426370420083978",
+    }
+
+    @pytest.mark.parametrize("n", sorted(LOG_NORM_PREFACTOR))
+    def test_log_norm_prefactor_against_frozen(self, n):
+        from qhotunnel.asymptotics import _log_norm_prefactor
+
+        got = _log_norm_prefactor(n, OscillatorMode(n).nu)
+        assert abs(got - float(self.LOG_NORM_PREFACTOR[n])) <= 1e-15
+
 
 class TestIntegralExpansions:
     def test_leading_terms(self):

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -122,7 +123,12 @@ class TestValidate:
     def test_sweep_text_is_stable(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--ns", "100,400")
         assert code == 0
-        assert out == "n=100 max_rel_deviation=2.3750e-09\nn=400 max_rel_deviation=3.8206e-11\n"
+        assert out == "n=100 max_rel_deviation=2.3750e-09\nn=400 max_rel_deviation=3.8499e-11\n"
+
+    def test_default_ns(self, capsys):
+        code, out, _ = run_cli(capsys, "validate")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["n=100", "n=400"]
 
 
 class TestExitCodes:
@@ -165,6 +171,49 @@ class TestExitCodes:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+class TestSupportedRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exact", "1", str(10**6 + 1)),
+            ("table", "--ns", f"1,{10**6 + 1}"),
+            ("validate", "--ns", f"1,{10**6 + 1}"),
+        ],
+    )
+    def test_n_past_the_range_exits_2_before_any_output(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert "n <= 10^6" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("exact", "3", "-1"), ("table", "--ns", "3,-1"), ("validate", "--ns", "3,-1")],
+    )
+    def test_negative_n_exits_2_before_any_output(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be >= 0" in err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flag_error_leaves_the_parser_intact(self, capsys):
+        cli.build_parser.cache_clear()
+        _, first, _ = run_cli(capsys, "asym", "100")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asym", "100", "--form", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        _, again, _ = run_cli(capsys, "asym", "100")
+        assert again == first
 
 
 # n log-uniform over [1, 10^400]: a decade, then a value inside it

@@ -170,3 +170,11 @@ class TestAiSquaredMoments:
         f = lambda t: t**m * airy(t).ai ** 2
         r = integrate_decaying(f, 0.0, 1e-12)
         assert ai_squared_moment(m) == pytest.approx(r.value, rel=1e-10)
+
+    def test_largest_order_is_finite(self):
+        assert math.isfinite(ai_squared_moment(170))
+
+    @pytest.mark.parametrize("m", [171, 600])
+    def test_order_past_factorial_range_raises_domain_error(self, m):
+        with pytest.raises(DomainError):
+            ai_squared_moment(m)
