@@ -5,11 +5,12 @@ orthonormal three-term recurrence
 
     psi_{k+1}(x) = x*sqrt(2/(k+1))*psi_k(x) - sqrt(k/(k+1))*psi_{k-1}(x)
 
-seeded by psi_0(x) = pi^{-1/4} e^{-x^2/2}.  The pair (psi_k, psi_{k-1})
-is carried as two mantissa arrays sharing one base-2 exponent array, and
-is rescaled by a power of two, taken from the larger of the two, once
-every B steps (block renormalisation; Gil, Segura & Temme, *Numerical
-Methods for Special Functions*, ch. 4).  Per step max(|psi_k|, |psi_{k-1}|)
+seeded by psi_0(x) = pi^{-1/4} e^{-x^2/2}, whose base-2 logarithm is
+split with Dekker's exact product (the package's only one).  The pair
+(psi_k, psi_{k-1}) is carried as two mantissa arrays sharing one base-2
+exponent array, and is rescaled by a power of two, taken from the larger
+of the two, once every B steps (block renormalisation; Gil, Segura &
+Temme, *Numerical Methods for Special Functions*, ch. 4).  Per step max(|psi_k|, |psi_{k-1}|)
 grows or shrinks by at most a factor 2*sqrt(2)*(|x| + 1), so B (at most
 64) is chosen from the grid's largest |x| to keep the unnormalised
 mantissas within 2^(+-900).  Power-of-two rescaling is exact, so the
@@ -30,16 +31,27 @@ import math
 
 import numpy as np
 
-from .._dd import (
-    HALF_LOG2E_HI,
-    HALF_LOG2E_LO,
-    QUARTER_LOG2PI_HI,
-    QUARTER_LOG2PI_LO,
-    two_prod,
-)
-
 _MAX_BLOCK = 64
 _BLOCK_LOG2_RANGE = 900.0  # binary orders a block may drift from [1/2, 1)
+
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for binary64
+HALF_LOG2E_HI = 0.7213475204444817  # 1/(2 ln 2) as hi + lo
+HALF_LOG2E_LO = 1.0177636870465517e-17
+QUARTER_LOG2PI_HI = 0.4128740323680797  # log2(pi)/4 as hi + lo
+QUARTER_LOG2PI_LO = 1.9744082879119833e-17
+
+
+def two_prod(a, b):
+    """Dekker's exact product, elementwise: a * b = p + e with p = fl(a*b)."""
+    p = a * b
+    ca = _SPLIT * a
+    ahi = ca - (ca - a)
+    alo = a - ahi
+    cb = _SPLIT * b
+    bhi = cb - (cb - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    return p, e
 
 
 def _seed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,10 +17,8 @@ from functools import lru_cache
 
 from . import quadrature as _quadrature
 from . import series as _series
-from ._dd import exp2_scaled, log2_exp_neg
 from .oscillator import OscillatorMode, ScaledValue
 from .specialfn import (
-    _HALF_LN_2PI,
     STIRLING_SWITCH,
     DomainError,
     _stirling_remainder,
@@ -46,6 +44,7 @@ _SERIES_ORDER = 13
 
 _GAMMA_THIRD = 2.6789385347077475    # Gamma(1/3)
 _GAMMA_2THIRDS = 1.3541179394264005  # Gamma(2/3)
+_HALF_LN_2PI = 0.9189385332046727    # (1/2) ln 2pi
 
 FORMS = ("eq41", "eq42", "numeric42", "jadczyk13")
 
@@ -224,13 +223,11 @@ def uniform_psi_approx(
     if g_orders and aip.mantissa != 0.0:
         ups += math.ldexp(aip.mantissa, max(min(de, 1000), -1000)) * nu ** (-8.0 / 3.0) * G
 
-    ln_c = _log_norm_prefactor(n, nu)
-    m_c, e_c = exp2_scaled(*log2_exp_neg(-ln_c, 0.0))
-    amp = m_c * phi(zeta) ** 0.25 * ups
+    amp = math.exp(_log_norm_prefactor(n, nu)) * phi(zeta) ** 0.25 * ups
     out = ScaledValue.from_float(amp)
     if out.mantissa == 0.0:
         return out
-    return ScaledValue(out.mantissa, out.exponent + e_c + ai.exponent)
+    return ScaledValue(out.mantissa, out.exponent + ai.exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,10 @@ def _tol(text: str) -> float:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
-    if not 1e-15 <= v <= 1e-3:
-        raise argparse.ArgumentTypeError("tol must lie in [1e-15, 1e-3]")
+    try:
+        quadrature._check_tol(v)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return v
 
 

@@ -259,11 +259,5 @@ def tunnel_probability_exact(mode: OscillatorMode, tol: float = 1e-13) -> float:
     Works directly on the scaled density, so the normalisation constant
     and the Hermite polynomial are never formed separately.
     """
-    _check_tol(tol)
-    result = integrate_decaying(
-        lambda xs: density_floats(mode, xs),
-        mode.nu,
-        tol,
-        first_width=min(1.0, 10.0 / mode.nu),
-    )
+    result = integrate_decaying(lambda xs: density_floats(mode, xs), mode.nu, tol)
     return 2.0 * result.value

@@ -1,31 +1,31 @@
 """Special functions: Ai/Ai', gamma, log-gamma, erfc, Ai^2 moments.
 
 Gamma, ln Gamma and erfc come from the standard `math` module, behind
-typed domain checks; ln Gamma switches to the Stirling series beyond 20,
-whose remainder the eq41 prefactor uses on its own.  The Airy pair is
-built here (a double-double Maclaurin series and the exponentially
-scaled asymptotic expansion), because the uniform approximation needs
-Ai far below the double underflow point; the test suite cross-validates
-the two Airy routes where they overlap.
+typed domain checks.  The Airy pair is built here, because the uniform
+approximation needs Ai far below the double underflow point: a Maclaurin
+series and the exponentially scaled asymptotic expansion, whose exponent
+e^{-(2/3)t^{3/2}} is split into a mantissa and a power of two.  Both run
+in one 40-digit `decimal` context, which absorbs the series' cancellation
+and carries the exponent's fraction to full double accuracy.  The test
+suite cross-validates the two Airy routes where they overlap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
-from . import _dd
-from ._dd import dd_add, dd_div_d, dd_mul, dd_mul_d, dd_sqrt, two_prod
 from .oscillator import ScaledValue
 
 AIRY_SWITCH = 9.0  # Maclaurin pair below, exponentially-scaled asymptotics above
 
-# Ai(0) and Ai'(0) as double-doubles
-_AI0 = (0.3550280538878172, 2.05233632436212e-17)
-_AIP0 = (-0.2588194037928068, 2.522243111610832e-17)
+_CTX = Context(prec=40)
+_AI0 = Decimal("0.355028053887817239260063186004183176397979174")  # Ai(0)
+_AIP0 = Decimal("-0.258819403792806798405183560189203963479091138")  # Ai'(0)
+_LN2 = Decimal("0.693147180559945309417232121458176568075500134")
 
 _SQRT_PI = 1.7724538509055159
-_HALF_LN_2PI = 0.9189385332046727
 
 
 class DomainError(ValueError):
@@ -38,50 +38,42 @@ class AiryPair:
     ai_prime: float
 
 
-def _airy_series_dd(t: float) -> tuple[float, float]:
-    """Maclaurin pair series for (Ai, Ai') in double-double arithmetic.
+def _airy_series(t: float) -> tuple[float, float]:
+    """Maclaurin pair series for (Ai, Ai') at 40 digits.
 
-    The two basis series grow like e^{(2/3)t^{3/2}} while Ai decays, so
-    ~10 digits cancel at t ~ 9; the doubled precision absorbs that.
+    Ai = Ai(0) f + Ai'(0) g with f = sum t^{3k}/[(2*3)(5*6)...] and
+    g = sum t^{3k+1}/[(3*4)(6*7)...].  The two basis series grow like
+    e^{(2/3)t^{3/2}} while Ai decays, so ~10 digits cancel at t ~ 9; the
+    40-digit context absorbs that, and each result is rounded once.
     """
-    th, tl = two_prod(t, t)
-    x3h, x3l = dd_mul_d(th, tl, t)  # t^3 to ~1e-32
-
-    tf = (1.0, 0.0)
-    tg = (t, 0.0)
-    tfp = (0.5 * th, 0.5 * tl)  # f' term of index 1: t^2/2
-    tgp = (1.0, 0.0)
-    sf, sg, sfp, sgp = tf, tg, tfp, tgp
-
-    for k in range(0, 90):
-        tf = dd_div_d(*dd_mul(*tf, x3h, x3l), (3 * k + 2) * (3 * k + 3))
-        tg = dd_div_d(*dd_mul(*tg, x3h, x3l), (3 * k + 3) * (3 * k + 4))
-        tgp = dd_div_d(*dd_mul(*tgp, x3h, x3l), (3 * k + 1) * (3 * k + 3))
-        sf = dd_add(*sf, *tf)
-        sg = dd_add(*sg, *tg)
-        sgp = dd_add(*sgp, *tgp)
-        if k >= 1:
-            # f' terms use c_k = a_k*3k; index k+1 from index k (exact factors)
-            tfp = dd_mul_d(*tfp, float(k + 1))
-            tfp = dd_div_d(*dd_mul(*tfp, x3h, x3l), k * (3 * k + 2) * (3 * k + 3))
-            sfp = dd_add(*sfp, *tfp)
-        if abs(tf[0]) < 1e-36 * abs(sf[0]) and abs(tg[0]) < 1e-36 * max(abs(sg[0]), 1e-300):
-            break
-
-    ai = dd_add(*dd_mul(*_AI0, *sf), *dd_mul(*_AIP0, *sg))
-    aip = dd_add(*dd_mul(*_AI0, *sfp), *dd_mul(*_AIP0, *sgp))
-    return ai[0] + ai[1], aip[0] + aip[1]
+    with localcontext(_CTX):
+        x = Decimal(t)
+        x3 = x * x * x
+        tf, tg, tfp, tgp = Decimal(1), x, x * x / 2, Decimal(1)  # f'(t) starts at t^2/2
+        sf, sg, sfp, sgp = tf, tg, tfp, tgp
+        for k in range(90):
+            tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
+            tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
+            tfp = tfp * x3 / ((3 * k + 3) * (3 * k + 5))
+            tgp = tgp * x3 / ((3 * k + 1) * (3 * k + 3))
+            grown = (sf + tf, sg + tg, sfp + tfp, sgp + tgp)
+            if grown == (sf, sg, sfp, sgp):  # every term is below the sums' last digit
+                break
+            sf, sg, sfp, sgp = grown
+        return float(_AI0 * sf + _AIP0 * sg), float(_AI0 * sfp + _AIP0 * sgp)
 
 
 def _airy_asymptotic_scaled(t: float) -> tuple[ScaledValue, ScaledValue]:
     """Scaled (Ai, Ai') for large t from the exponentially-scaled expansion."""
-    sh, sl = dd_sqrt(t, 0.0)
-    tsh, tsl = dd_mul(t, 0.0, sh, sl)
-    xih, xil = dd_div_d(tsh, tsl, 1.5)  # (2/3) t^{3/2}
-    lh, ll = _dd.log2_exp_neg(xih, xil)
-    m_exp, e_exp = _dd.exp2_scaled(lh, ll)
+    with localcontext(_CTX):
+        xi_d = Decimal(t).sqrt() * Decimal(t) * 2 / 3  # (2/3) t^{3/2}
+        l2 = -xi_d / _LN2  # log2 e^{-xi}
+        e_exp = math.floor(l2)
+        frac = float(l2 - e_exp)
+        xi = float(xi_d)
+    # e^{-xi} = m_exp * 2^e_exp, m_exp in [1, 2]
+    m_exp = math.exp2(frac) if hasattr(math, "exp2") else 2.0**frac
 
-    xi = xih
     s_ai = 1.0
     s_aip = 1.0
     u = 1.0
@@ -118,7 +110,7 @@ def airy_scaled(t: float) -> tuple[ScaledValue, ScaledValue]:
     if not t >= 0.0:
         raise DomainError(f"airy requires t >= 0, got {t}")
     if t <= AIRY_SWITCH:
-        a, ap = _airy_series_dd(t)
+        a, ap = _airy_series(t)
         return ScaledValue.from_float(a), ScaledValue.from_float(ap)
     return _airy_asymptotic_scaled(t)
 
@@ -131,10 +123,8 @@ def airy(t: float) -> AiryPair:
 
 # Gamma, log-gamma, erfc ------------------------------------------------------
 
-# math.lgamma below, the Stirling series above. The series stays because
-# its remainder cancels the eq41 prefactor's n ln n terms analytically, and
-# because validate's printed deviations depend on its rounding (math.lgamma
-# differs by 1 ulp at 401 and moves the n = 400 line).
+# Beyond this the Stirling remainder below is accurate to a double; both
+# prefactors in asymptotics use it there to cancel their n ln n terms.
 STIRLING_SWITCH = 20.0
 
 # B_{2k} / (2k (2k-1)) for the Stirling tail
@@ -173,15 +163,13 @@ def _stirling_remainder(x: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0."""
+    """ln Gamma(x) for finite x > 0, wherever it is a finite double."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"log_gamma requires finite x > 0, got {x}")
-    if x > STIRLING_SWITCH:
-        out = (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + _stirling_remainder(x)
-        if out == math.inf:
-            raise DomainError(f"log_gamma({x}) overflows a double")
-        return out
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma({x}) overflows a double") from None
 
 
 def erfc(x: float) -> float:

@@ -238,6 +238,33 @@ def test_no_asym_or_coeffs_argv_exits_1(argv):
     assert code in (0, 2), argv
 
 
+# n in [0, 2000], where a request takes milliseconds, three draws in four;
+# otherwise negative, past the 10^6 cap, or a 401-digit n, each of which
+# must be refused before any O(n) work
+_oracle_n = st.sampled_from(
+    [st.integers(0, 2000)] * 9
+    + [st.integers(-(10**6), -1), st.integers(10**6 + 1, 10**30), st.just(10**400)]
+).flatmap(lambda s: s)
+_oracle_ns = st.lists(_oracle_n, min_size=1, max_size=3).map(lambda ns: [str(n) for n in ns])
+_tols = st.sampled_from(["1e-13", "1e-10", "1e-6", "1e-3", "0.5", "nan", "inf", "abc"])
+_oracle_argv = (
+    st.builds(lambda ns, tol: ["exact", *ns, "--tol", tol], _oracle_ns, _tols)
+    | st.builds(lambda ns, tol: ["table", "--ns", ",".join(ns), "--tol", tol], _oracle_ns, _tols)
+    | st.builds(lambda ns: ["validate", "--ns", ",".join(ns)], _oracle_ns)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_oracle_argv)
+def test_no_exact_table_or_validate_argv_exits_1(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), argv
+
+
 def test_module_entry_point_runs():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}

@@ -7,7 +7,7 @@ from qhotunnel.specialfn import (
     AIRY_SWITCH,
     DomainError,
     _airy_asymptotic_scaled,
-    _airy_series_dd,
+    _airy_series,
     ai_squared_moment,
     airy,
     airy_scaled,
@@ -51,10 +51,19 @@ class TestAiry:
 
     def test_branch_agreement_in_overlap(self):
         for t in (8.5, 8.75, 9.0, 9.25, 9.5):
-            a_s, ap_s = _airy_series_dd(t)
+            a_s, ap_s = _airy_series(t)
             a_a, ap_a = _airy_asymptotic_scaled(t)
             assert a_s == pytest.approx(a_a.to_float(), rel=1e-12)
             assert ap_s == pytest.approx(ap_a.to_float(), rel=1e-12)
+
+    def test_series_is_correctly_rounded(self):
+        import mpmath
+
+        with mpmath.workdps(50):
+            for k in range(901):
+                t = k / 100
+                ref = (float(mpmath.airyai(t)), float(mpmath.airyai(t, derivative=1)))
+                assert _airy_series(t) == ref, t
 
     def test_ode_residual(self):
         h = 1e-4
