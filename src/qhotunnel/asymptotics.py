@@ -212,7 +212,8 @@ def uniform_psi_approx(
 
     fs = [1.0, 1.0 / 24.0, a1(zeta) + 1.0 / 576.0][:f_orders]
     F = sum(c * nu2**-k for k, c in enumerate(fs))
-    gs = [b0(zeta), b0(zeta) / 24.0][:g_orders]
+    b = b0(zeta)
+    gs = [b, b / 24.0][:g_orders]
     G = sum(c * nu2**-k for k, c in enumerate(gs))
 
     t = nu ** (4.0 / 3.0) * zeta

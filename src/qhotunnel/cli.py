@@ -30,7 +30,8 @@ from .oscillator import OscillatorMode, ScaledValue, rel_diff
 # name stays bound.
 from .oscillator import eval_psi  # noqa: F401
 
-_COEFF_CHOICES = ("alpha", "beta", "a1", "inversion")
+# --which -> the series family whose derive_<family>_series prints it
+_COEFF_FAMILIES = {"alpha": "phi", "beta": "beta", "a1": "a1", "inversion": "inversion"}
 _VALIDATE_XS = (1.0, 1.1, 1.5, 2.0, 3.0)
 # the largest n at which the oracle has been measured (11.4 s)
 _MAX_N = 10**6
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--csv", metavar="PATH", default=None)
 
     pc = sub.add_parser("coeffs", help="exact expansion coefficients")
-    pc.add_argument("--which", choices=_COEFF_CHOICES, required=True)
+    pc.add_argument("--which", choices=_COEFF_FAMILIES, required=True)
     pc.add_argument("--order", type=int, default=5)
 
     pv = sub.add_parser("validate", help="uniform-approximation sweep")
@@ -143,15 +144,8 @@ def _run_table(args) -> int:
 
 
 def _run_coeffs(args) -> int:
-    order = args.order
-    if args.which == "alpha":
-        s = series.derive_phi_series(order)
-    elif args.which == "beta":
-        s = series.derive_beta_series(order)
-    elif args.which == "a1":
-        s = series.derive_a1_series(order)
-    else:
-        s = series.derive_inversion_series(order)
+    # looked up at call time, so a wrapper installed on series (perfbench/tracer.py) sees the call
+    s = getattr(series, f"derive_{_COEFF_FAMILIES[args.which]}_series")(args.order)
     exact = [series.format_coefficient(c) for c in s.coeffs]
     print(", ".join(exact))
     for k, c in enumerate(s.coeffs):

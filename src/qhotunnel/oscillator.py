@@ -83,11 +83,6 @@ class ScaledValue:
         m, de = math.frexp(self.mantissa * self.mantissa)
         return ScaledValue(m, 2 * self.exponent + de)
 
-    def log2(self) -> float:
-        if self.mantissa == 0.0:
-            raise ValueError("log2 of zero")
-        return math.log2(abs(self.mantissa)) + self.exponent
-
     @property
     def is_normalized(self) -> bool:
         if self.mantissa == 0.0:

@@ -10,18 +10,18 @@ with its two half-panels, otherwise it is bisected.  The march stops
 when a panel's contribution is negligible and a crude exponential
 majorant certifies that the remaining tail is too.
 
-The march is depth-first, one panel at a time, but it does not evaluate
-one panel at a time: when it reaches a panel that has not been
-evaluated, one integrand call computes the whole, both halves and the
-tail-probe pair of that panel and the next ``_LOOKAHEAD - 1`` (a
-round).  The march reads those sums and values back; anything else it
-needs (the quarters of a bisected panel, say) is evaluated on demand as
-before.  Every sum is formed as it would be from a call on its own, so
-the result does not depend on the look-ahead.
+The march takes its panels in rounds of eight from one layout: one
+integrand call per round gives the whole, both halves and the tail-probe
+pair of each of its panels, and the march then takes those panels in
+order.  What a round did not evaluate (the quarters of a bisected panel;
+every panel of a round whose call raised) is evaluated when the march
+reaches it.  Each sum is one dot over its own 24 nodes, so the result
+does not depend on which call formed it.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -38,7 +38,8 @@ _MAX_WIDTH = 4.0
 _TAIL_FRACTION = 0.1   # panel/tail cutoff at tol/10, per contract
 _EST_SAFETY = 15.0     # accepted-panel error is well below |whole - halves|
 _PROBE_STEP = 0.25     # the tail majorant is fitted to f(hi), f(hi + step)
-_LOOKAHEAD = 8         # panels evaluated per round; one round for n <= 1e5
+_LOOKAHEAD = 8         # panels per round; one round for n <= 1e5
+_PANEL_BUDGET = 100_000
 
 _log = logging.getLogger(__name__)
 
@@ -56,8 +57,10 @@ class QuadratureResult:
 
 
 def _check_tol(tol: float) -> None:
-    if not (1e-15 <= tol <= 1e-3):
-        raise ValueError(f"tol must lie in [1e-15, 1e-3], got {tol}")
+    # below 1e-14 oracle solves may never meet their leaf tolerance and march until
+    # the panel budget runs out (n = 7 at 1e-15: 25 s)
+    if not (1e-14 <= tol <= 1e-3):
+        raise ValueError(f"tol must lie in [1e-14, 1e-3], got {tol}")
 
 
 def _grid_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -97,47 +100,41 @@ def _evaluate(fg, segments, points=()) -> tuple[list[float], list[float]]:
     return sums, ys[xs.size :].tolist()
 
 
-class _Rounds:
-    """Panel sums and tail-probe values evaluated ahead of the march."""
+def _halves(lo: float, hi: float) -> list[tuple[float, float]]:
+    mid = 0.5 * (lo + hi)
+    return [(lo, mid), (mid, hi)]
 
-    def __init__(self, fg) -> None:
-        self.fg = fg
-        self.index = 0
-        self.sums: dict[tuple[float, float], float | None] = {}
-        self.values: dict[float, float | None] = {}
 
-    def fill(self, panels, probe: bool) -> None:
-        """Evaluate each panel's whole and halves, and its probe pair if asked, in one call."""
-        segments = []
-        for lo, hi in panels:
-            mid = 0.5 * (lo + hi)
-            segments += [(lo, hi), (lo, mid), (mid, hi)]
-        points = [p for _, hi in panels for p in (hi, hi + _PROBE_STEP)] if probe else []
-        try:
-            sums, values = _evaluate(self.fg, segments, points)
-        except Exception:
-            # f fails somewhere ahead, perhaps where the march never goes: evaluate on demand
-            sums, values = [None] * len(segments), [None] * len(points)
-        self.sums = dict(zip(segments, sums))
-        self.values = dict(zip(points, values))
-        _log.debug(
-            "quadrature round %d: %d panels, %d nodes in one call",
-            self.index, len(panels), len(segments) * _NODES.size + len(points),
-        )
-        self.index += 1
+def _panel_segments(panels) -> list[tuple[float, float]]:
+    """Whole, left half and right half of each panel, in that order."""
+    return [s for lo, hi in panels for s in ((lo, hi), *_halves(lo, hi))]
 
-    def panel(self, lo: float, hi: float) -> float:
-        whole = self.sums.get((lo, hi))
-        if whole is None:
-            half = 0.5 * (hi - lo)
-            whole = half * float(_WEIGHTS @ self.fg(lo + half * (_NODES + 1.0)))
-        return whole
 
-    def probe(self, hi: float) -> list[float]:
-        pair = [self.values.get(hi), self.values.get(hi + _PROBE_STEP)]
-        if None in pair:
-            pair = self.fg(np.array([hi, hi + _PROBE_STEP])).tolist()
-        return pair
+def _layout(lo: float, width: float):
+    """The decaying march's panels: from lo, each _GROWTH times wider, up to _MAX_WIDTH."""
+    while True:
+        hi = lo + width
+        yield lo, hi
+        lo, width = hi, min(width * _GROWTH, _MAX_WIDTH)
+
+
+def _round(fg, panels, index: int) -> list:
+    """One call for the (whole, left, right) sums and probe pair of each panel.
+
+    Returns one (sums, probe) entry per panel, or None for every panel
+    when the call raises: f may fail ahead, where the march never goes.
+    """
+    segments = _panel_segments(panels)
+    points = [p for _, hi in panels for p in (hi, hi + _PROBE_STEP)]
+    _log.debug(
+        "quadrature round %d: %d panels, %d nodes in one call",
+        index, len(panels), len(segments) * _NODES.size + len(points),
+    )
+    try:
+        sums, values = _evaluate(fg, segments, points)
+    except Exception:
+        return [None] * len(panels)
+    return [(sums[3 * i : 3 * i + 3], values[2 * i : 2 * i + 2]) for i in range(len(panels))]
 
 
 class _Budget:
@@ -153,19 +150,17 @@ class _Budget:
             )
 
 
-def _refined(panel, lo, hi, leaf_tol, budget, whole=None):
-    """Integrate [lo, hi] by bisection until whole/halves agree; returns (value, err)."""
-    if whole is None:
-        whole = panel(lo, hi)
-    mid = 0.5 * (lo + hi)
-    left = panel(lo, mid)
-    right = panel(mid, hi)
+def _refined(fg, lo, hi, sums, leaf_tol, budget):
+    """Integrate [lo, hi] from its (whole, left, right) sums by bisection; returns (value, err)."""
+    whole, left, right = sums
     budget.spend()
     disc = abs(whole - (left + right))
     if disc <= leaf_tol or (hi - lo) < 1e-14 * max(abs(lo), 1.0):
         return left + right, disc / _EST_SAFETY
-    vl, el = _refined(panel, lo, mid, 0.5 * leaf_tol, budget, whole=left)
-    vr, er = _refined(panel, mid, hi, 0.5 * leaf_tol, budget, whole=right)
+    mid = 0.5 * (lo + hi)
+    quarters, _ = _evaluate(fg, _halves(lo, mid) + _halves(mid, hi))
+    vl, el = _refined(fg, lo, mid, [left, *quarters[:2]], 0.5 * leaf_tol, budget)
+    vr, er = _refined(fg, mid, hi, [right, *quarters[2:]], 0.5 * leaf_tol, budget)
     return vl + vr, el + er
 
 
@@ -175,7 +170,7 @@ def integrate_decaying(
     tol: float = 1e-13,
     *,
     first_width: float | None = None,
-    panel_budget: int = 100_000,
+    panel_budget: int = _PANEL_BUDGET,
 ) -> QuadratureResult:
     """Integral of f over [a, inf) for smooth f decaying faster than e^{-x}.
 
@@ -183,71 +178,56 @@ def integrate_decaying(
     ``abs_error_estimate <= tol * max(|value|, 1)`` on success.
     """
     _check_tol(tol)
-    rounds = _Rounds(_grid_fn(f))
+    fg = _grid_fn(f)
     if first_width is None:
         first_width = min(1.0, 10.0 / a) if a > 1.0 else 1.0
 
     budget = _Budget(panel_budget)
     total = 0.0
     err = 0.0
-    width = first_width
-    lo = a
-    while True:
-        hi = lo + width
-        if (lo, hi) not in rounds.sums:
-            # the next panels as this loop lays them out, so their keys match
-            ahead, l, w = [], lo, width
-            for _ in range(_LOOKAHEAD):
-                ahead.append((l, l + w))
-                l, w = l + w, min(w * _GROWTH, _MAX_WIDTH)
-            rounds.fill(ahead, probe=True)
-        scale = max(abs(total), 1.0)
-        leaf_tol = _TAIL_FRACTION * tol * scale / 20.0
-        value, perr = _refined(rounds.panel, lo, hi, leaf_tol, budget)
-        total += value
-        err += perr
+    layout = _layout(a, first_width)
+    for index in itertools.count():
+        panels = list(itertools.islice(layout, _LOOKAHEAD))
+        for (lo, hi), entry in zip(panels, _round(fg, panels, index)):
+            sums, probe = entry or (_evaluate(fg, _panel_segments([(lo, hi)]))[0], None)
+            scale = max(abs(total), 1.0)
+            leaf_tol = _TAIL_FRACTION * tol * scale / 20.0
+            value, perr = _refined(fg, lo, hi, sums, leaf_tol, budget)
+            total += value
+            err += perr
 
-        scale = max(abs(total), 1.0)
-        if abs(value) < _TAIL_FRACTION * tol * scale:
-            # candidate stop: certify the remainder with an exponential majorant
-            fx, fx2 = rounds.probe(hi)
-            if fx == 0.0:
-                return QuadratureResult(total, err, budget.used, hi)
-            if fx > 0.0 and 0.0 <= fx2 < fx:
-                # measured local rate; decay may only speed up further out
-                rate = 1.0 if fx2 == 0.0 else -math.log(fx2 / fx) / _PROBE_STEP
-                tail_bound = 1.5 * fx / rate
-                if rate >= 0.9 and tail_bound < _TAIL_FRACTION * tol * scale:
-                    err += tail_bound
+            scale = max(abs(total), 1.0)
+            if abs(value) < _TAIL_FRACTION * tol * scale:
+                # candidate stop: certify the remainder with an exponential majorant
+                fx, fx2 = probe or _evaluate(fg, [], (hi, hi + _PROBE_STEP))[1]
+                if fx == 0.0:
                     return QuadratureResult(total, err, budget.used, hi)
-        lo = hi
-        width = min(width * _GROWTH, _MAX_WIDTH)
+                if fx > 0.0 and 0.0 <= fx2 < fx:
+                    # measured local rate; decay may only speed up further out
+                    rate = 1.0 if fx2 == 0.0 else -math.log(fx2 / fx) / _PROBE_STEP
+                    tail_bound = 1.5 * fx / rate
+                    if rate >= 0.9 and tail_bound < _TAIL_FRACTION * tol * scale:
+                        err += tail_bound
+                        return QuadratureResult(total, err, budget.used, hi)
 
 
-def integrate_finite(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = 1e-13,
-    *,
-    panel_budget: int = 100_000,
-) -> QuadratureResult:
+def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-13) -> QuadratureResult:
     """Adaptive integral over a finite interval (used for normalisation checks)."""
     _check_tol(tol)
-    rounds = _Rounds(_grid_fn(f))
-    budget = _Budget(panel_budget)
-    # coarse scale estimate so leaf tolerances are meaningful from the start
-    coarse = abs(rounds.panel(a, b))
-    scale = max(coarse, 1.0)
+    fg = _grid_fn(f)
+    budget = _Budget(_PANEL_BUDGET)
     nseg = 8
-    total = 0.0
-    err = 0.0
     edges = np.linspace(a, b, nseg + 1).tolist()
     panels = list(zip(edges[:-1], edges[1:]))
+    # one call: a coarse whole-interval sum, so leaf tolerances are meaningful from the start,
+    # and the whole and halves of every panel
+    sums, _ = _evaluate(fg, [(a, b), *_panel_segments(panels)])
+    scale = max(abs(sums[0]), 1.0)
+    total = 0.0
+    err = 0.0
+    leaf_tol = tol * scale / (20.0 * nseg)
     for i, (lo, hi) in enumerate(panels):
-        if (lo, hi) not in rounds.sums:
-            rounds.fill(panels[i : i + _LOOKAHEAD], probe=False)
-        value, perr = _refined(rounds.panel, lo, hi, tol * scale / (20.0 * nseg), budget)
+        value, perr = _refined(fg, lo, hi, sums[3 * i + 1 : 3 * i + 4], leaf_tol, budget)
         total += value
         err += perr
     return QuadratureResult(total, err, budget.used, b)

@@ -143,6 +143,19 @@ class TestExitCodes:
             cli.main(["asym", "5", "--form", "bogus"])
         assert exc.value.code == 2
 
+    def test_tol_below_the_floor_exits_2_at_once(self, capsys):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["exact", "7", "--tol", "1e-15"])
+        assert time.perf_counter() - t0 < 1.0
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "[1e-14, 1e-3]" in out.err
+        code, out, _ = run_cli(capsys, "exact", "7", "--tol", "1e-14")
+        assert code == 0
+        assert out.split()[0] == "7"
+
     def test_nonconvergence_exits_3(self, capsys, monkeypatch):
         def boom(mode, tol):
             raise NonConvergence("forced")

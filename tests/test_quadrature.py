@@ -41,8 +41,10 @@ class TestIntegrateDecaying:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             integrate_decaying(lambda x: np.exp(-x), 0.0, 1e-2)
-        with pytest.raises(ValueError):
-            integrate_decaying(lambda x: np.exp(-x), 0.0, 1e-16)
+        # below 1e-14 an oracle solve may march until its panel budget runs out
+        for tol in (1e-16, 5e-15, 1e-15):
+            with pytest.raises(ValueError):
+                integrate_decaying(lambda x: np.exp(-x), 0.0, tol)
 
     def test_nonconvergence_on_budget(self):
         with pytest.raises(NonConvergence):
@@ -120,8 +122,8 @@ _DECAYING_CASES = {
 
 
 def _depth_first(monkeypatch):
-    """Evaluate nothing ahead: every sum and probe then costs its own call, as in a plain march."""
-    monkeypatch.setattr(quad._Rounds, "fill", lambda self, panels, probe: None)
+    """Evaluate nothing ahead: each panel and probe then costs its own call, as in a plain march."""
+    monkeypatch.setattr(quad, "_round", lambda fg, panels, index: [None] * len(panels))
 
 
 def _counted(f):
@@ -150,6 +152,15 @@ class TestLookAhead:
         new = integrate_finite(f, 0.0, mode.nu, 1e-12)
         _depth_first(monkeypatch)
         assert new == integrate_finite(f, 0.0, mode.nu, 1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 100, 800])
+    def test_finite_is_one_call_plus_one_per_bisection(self, n):
+        mode = OscillatorMode(n)
+        calls, f = _counted(lambda xs: density_floats(mode, xs))
+        r = integrate_finite(f, 0.0, mode.nu, 1e-12)
+        # the coarse panel and the whole and halves of all 8 segments, then 4 quarters per bisection
+        bisections = (r.panels_used - 8) // 2
+        assert calls == [(1 + 8 * 3) * 24] + [4 * 24] * bisections
 
     @pytest.mark.parametrize("case", ["oracle n=10", "oracle n=800", "exp(-x) from 0", "5 exp(-x/3), total 15"])
     def test_budget_parity(self, case, monkeypatch):

@@ -65,6 +65,19 @@ class TestAiry:
                 ref = (float(mpmath.airyai(t)), float(mpmath.airyai(t, derivative=1)))
                 assert _airy_series(t) == ref, t
 
+    @pytest.mark.parametrize("exp2", [True, False], ids=["math.exp2", "no math.exp2"])
+    def test_asymptotic_route_on_a_log_sweep(self, exp2, monkeypatch):
+        # without math.exp2 (Python 3.10) the exponent's fraction goes through 2.0**frac
+        import mpmath
+
+        if not exp2:
+            monkeypatch.delattr(math, "exp2")
+        with mpmath.workdps(50):
+            for k in range(801):
+                t = 9.0 * 10 ** (k / 160)
+                for got, ref in zip(airy_scaled(t), (mpmath.airyai(t), mpmath.airyai(t, derivative=1))):
+                    assert abs(mpmath.ldexp(got.mantissa, got.exponent) / ref - 1) <= 1e-15, t
+
     def test_ode_residual(self):
         h = 1e-4
         t = 0.5
