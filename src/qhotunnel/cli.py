@@ -144,7 +144,6 @@ def _run_table(args) -> int:
 
 
 def _run_coeffs(args) -> int:
-    # looked up at call time, so a wrapper installed on series (perfbench/tracer.py) sees the call
     s = getattr(series, f"derive_{_COEFF_FAMILIES[args.which]}_series")(args.order)
     exact = [series.format_coefficient(c) for c in s.coeffs]
     print(", ".join(exact))

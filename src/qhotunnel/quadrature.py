@@ -57,8 +57,8 @@ class QuadratureResult:
 
 
 def _check_tol(tol: float) -> None:
-    # below 1e-14 oracle solves may never meet their leaf tolerance and march until
-    # the panel budget runs out (n = 7 at 1e-15: 25 s)
+    # the floor of oracle solves, which below it can march until the budget runs out (n = 7
+    # at 1e-15: 25 s); with no roundoff stop yet, other integrands can do so even at 1e-14
     if not (1e-14 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-14, 1e-3], got {tol}")
 

@@ -122,8 +122,17 @@ _DECAYING_CASES = {
 
 
 def _depth_first(monkeypatch):
-    """Evaluate nothing ahead: each panel and probe then costs its own call, as in a plain march."""
+    """A plain march: nothing is evaluated ahead, and each sum and probe point costs its own call."""
+
+    def one_at_a_time(fg, segments, points=()):
+        sums = []
+        for lo, hi in segments:
+            half = 0.5 * (hi - lo)
+            sums.append(half * float(quad._WEIGHTS @ fg(lo + half * (quad._NODES + 1.0))))
+        return sums, [float(fg(np.array([p]))[0]) for p in points]
+
     monkeypatch.setattr(quad, "_round", lambda fg, panels, index: [None] * len(panels))
+    monkeypatch.setattr(quad, "_evaluate", one_at_a_time)
 
 
 def _counted(f):
