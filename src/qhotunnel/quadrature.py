@@ -1,4 +1,4 @@
-"""Adaptive panel quadrature for smooth, eventually fast-decaying integrands.
+"""Adaptive panel quadrature for smooth integrands with an eventually log-concave tail.
 
 This is the independent oracle of the package: tunnelling probabilities
 are obtained here by direct numerical integration of the true density
@@ -7,23 +7,23 @@ over [nu, inf), with no input from the asymptotic machinery.
 Strategy: 24-point Gauss-Legendre panels laid out with geometrically
 growing width in t = x - a; each panel is accepted only when it agrees
 with its two half-panels, otherwise it is bisected.  The march stops
-when a panel's contribution is negligible and a crude exponential
-majorant certifies that the remaining tail is too.
+when a panel's contribution is negligible and its two halves bound the
+remaining tail (Prekopa, 1973): rigorously where the tail is log-concave,
+heuristically otherwise.
 
 The march takes its panels in rounds of eight from one layout: one
-integrand call per round gives the whole, both halves and the tail-probe
-pair of each of its panels, and the march then takes those panels in
-order.  What a round did not evaluate (the quarters of a bisected panel;
-every panel of a round whose call raised) is evaluated when the march
-reaches it.  Each sum is one dot over its own 24 nodes, so the result
-does not depend on which call formed it.
+integrand call per round gives the whole and both halves of each of its
+panels, and the march then takes those panels in order.  What a round
+did not evaluate (the quarters of a bisected panel; every panel of a
+round whose call raised) is evaluated when the march reaches it.  Each
+sum is one dot over its own 24 nodes, so the result does not depend on
+which call formed it.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +37,6 @@ _GROWTH = 1.6          # panel width ratio
 _MAX_WIDTH = 4.0
 _TAIL_FRACTION = 0.1   # panel/tail cutoff at tol/10, per contract
 _EST_SAFETY = 15.0     # accepted-panel error is well below |whole - halves|
-_PROBE_STEP = 0.25     # the tail majorant is fitted to f(hi), f(hi + step)
 _LOOKAHEAD = 8         # panels per round; one round for n <= 1e5
 _PANEL_BUDGET = 100_000
 
@@ -88,16 +87,13 @@ def _grid_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return lambda xs: call(xs)
 
 
-def _evaluate(fg, segments, points=()) -> tuple[list[float], list[float]]:
-    """Gauss-Legendre sums over each (lo, hi) segment, and f at each extra point, from one call."""
+def _evaluate(fg, segments) -> list[float]:
+    """Gauss-Legendre sums over each (lo, hi) segment, from one call."""
     lo = np.array([s[0] for s in segments], dtype=np.float64)
     half = 0.5 * (np.array([s[1] for s in segments], dtype=np.float64) - lo)
-    xs = (lo[:, None] + half[:, None] * (_NODES + 1.0)).ravel()
-    ys = fg(np.concatenate([xs, np.asarray(points, dtype=np.float64)]))
-    rows = ys[: xs.size].reshape(-1, _NODES.size)
+    rows = fg((lo[:, None] + half[:, None] * (_NODES + 1.0)).ravel()).reshape(-1, _NODES.size)
     # one dot per segment, so each sum rounds exactly as a 24-point panel on its own
-    sums = [h * float(_WEIGHTS @ row) for h, row in zip(half.tolist(), rows)]
-    return sums, ys[xs.size :].tolist()
+    return [h * float(_WEIGHTS @ row) for h, row in zip(half.tolist(), rows)]
 
 
 def _halves(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -119,22 +115,19 @@ def _layout(lo: float, width: float):
 
 
 def _round(fg, panels, index: int) -> list:
-    """One call for the (whole, left, right) sums and probe pair of each panel.
+    """One call for the (whole, left, right) sums of each panel.
 
-    Returns one (sums, probe) entry per panel, or None for every panel
-    when the call raises: f may fail ahead, where the march never goes.
+    Returns one sums list per panel, or None for every panel when the
+    call raises: f may fail ahead, where the march never goes.
     """
     segments = _panel_segments(panels)
-    points = [p for _, hi in panels for p in (hi, hi + _PROBE_STEP)]
-    _log.debug(
-        "quadrature round %d: %d panels, %d nodes in one call",
-        index, len(panels), len(segments) * _NODES.size + len(points),
-    )
+    _log.debug("quadrature round %d: %d panels, %d nodes in one call",
+               index, len(panels), len(segments) * _NODES.size)
     try:
-        sums, values = _evaluate(fg, segments, points)
+        sums = _evaluate(fg, segments)
     except Exception:
         return [None] * len(panels)
-    return [(sums[3 * i : 3 * i + 3], values[2 * i : 2 * i + 2]) for i in range(len(panels))]
+    return [sums[3 * i : 3 * i + 3] for i in range(len(panels))]
 
 
 class _Budget:
@@ -158,7 +151,7 @@ def _refined(fg, lo, hi, sums, leaf_tol, budget):
     if disc <= leaf_tol or (hi - lo) < 1e-14 * max(abs(lo), 1.0):
         return left + right, disc / _EST_SAFETY
     mid = 0.5 * (lo + hi)
-    quarters, _ = _evaluate(fg, _halves(lo, mid) + _halves(mid, hi))
+    quarters = _evaluate(fg, _halves(lo, mid) + _halves(mid, hi))
     vl, el = _refined(fg, lo, mid, [left, *quarters[:2]], 0.5 * leaf_tol, budget)
     vr, er = _refined(fg, mid, hi, [right, *quarters[2:]], 0.5 * leaf_tol, budget)
     return vl + vr, el + er
@@ -172,10 +165,10 @@ def integrate_decaying(
     first_width: float | None = None,
     panel_budget: int = _PANEL_BUDGET,
 ) -> QuadratureResult:
-    """Integral of f over [a, inf) for smooth f decaying faster than e^{-x}.
+    """Integral of f over [a, inf) for smooth f whose tail is eventually log-concave.
 
-    The returned absolute error estimate satisfies
-    ``abs_error_estimate <= tol * max(|value|, 1)`` on success.
+    The tail bound is rigorous there and a heuristic otherwise.  On success
+    ``abs_error_estimate <= tol * max(|value|, 1)``.
     """
     _check_tol(tol)
     fg = _grid_fn(f)
@@ -188,8 +181,8 @@ def integrate_decaying(
     layout = _layout(a, first_width)
     for index in itertools.count():
         panels = list(itertools.islice(layout, _LOOKAHEAD))
-        for (lo, hi), entry in zip(panels, _round(fg, panels, index)):
-            sums, probe = entry or (_evaluate(fg, _panel_segments([(lo, hi)]))[0], None)
+        for (lo, hi), sums in zip(panels, _round(fg, panels, index)):
+            sums = sums or _evaluate(fg, _panel_segments([(lo, hi)]))
             scale = max(abs(total), 1.0)
             leaf_tol = _TAIL_FRACTION * tol * scale / 20.0
             value, perr = _refined(fg, lo, hi, sums, leaf_tol, budget)
@@ -198,15 +191,14 @@ def integrate_decaying(
 
             scale = max(abs(total), 1.0)
             if abs(value) < _TAIL_FRACTION * tol * scale:
-                # candidate stop: certify the remainder with an exponential majorant
-                fx, fx2 = probe or _evaluate(fg, [], (hi, hi + _PROBE_STEP))[1]
-                if fx == 0.0:
+                # candidate stop: for log-concave f, integrals over equal steps fall off geometrically
+                _, left, right = sums
+                if left == right == 0.0:
                     return QuadratureResult(total, err, budget.used, hi)
-                if fx > 0.0 and 0.0 <= fx2 < fx:
-                    # measured local rate; decay may only speed up further out
-                    rate = 1.0 if fx2 == 0.0 else -math.log(fx2 / fx) / _PROBE_STEP
-                    tail_bound = 1.5 * fx / rate
-                    if rate >= 0.9 and tail_bound < _TAIL_FRACTION * tol * scale:
+                if 0.0 <= right < left:
+                    ratio = right / left
+                    tail_bound = right * ratio / (1.0 - ratio)
+                    if tail_bound < _TAIL_FRACTION * tol * scale:
                         err += tail_bound
                         return QuadratureResult(total, err, budget.used, hi)
 
@@ -221,7 +213,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-13) -> Qua
     panels = list(zip(edges[:-1], edges[1:]))
     # one call: a coarse whole-interval sum, so leaf tolerances are meaningful from the start,
     # and the whole and halves of every panel
-    sums, _ = _evaluate(fg, [(a, b), *_panel_segments(panels)])
+    sums = _evaluate(fg, [(a, b), *_panel_segments(panels)])
     scale = max(abs(sums[0]), 1.0)
     total = 0.0
     err = 0.0

@@ -72,7 +72,7 @@ def _airy_asymptotic_scaled(t: float) -> tuple[ScaledValue, ScaledValue]:
         frac = float(l2 - e_exp)
         xi = float(xi_d)
     # e^{-xi} = m_exp * 2^e_exp, m_exp in [1, 2]
-    m_exp = math.exp2(frac) if hasattr(math, "exp2") else 2.0**frac
+    m_exp = 2.0**frac
 
     s_ai = 1.0
     s_aip = 1.0
