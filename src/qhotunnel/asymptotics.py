@@ -125,36 +125,42 @@ def x_of_zeta(zeta: float) -> ZetaPoint:
     raise DomainError(f"Newton iteration for x(zeta) did not converge at zeta = {zeta}")
 
 
+def _coefficient_functions(p: ZetaPoint) -> tuple[float, float, float]:
+    """(phi, b0, a1) at one point of the map.
+
+    Below _ZETA_SWITCH they are the exact series in zeta (the closed forms
+    are 0/0 at zeta = 0); beyond it the closed forms in the point's own x.
+    """
+    zeta = p.zeta
+    if zeta < _ZETA_SWITCH:
+        return tuple(_horner(_coeffs(family), zeta) for family in ("phi", "b0", "a1"))
+    x = p.x
+    x2 = x * x
+    w2 = (x - 1.0) * (x + 1.0)
+    w3 = w2**1.5
+    z32 = zeta**1.5
+    b = -0.5 / math.sqrt(zeta) * (x * (x2 - 6.0) / (12.0 * w3) + 5.0 / (24.0 * z32))
+    a = (
+        (145.0 + 249.0 * x2 - 9.0 * x2 * x2) / w2**3
+        - 7.0 * x * (x2 - 6.0) / (w3 * z32)
+        - 455.0 / (4.0 * z32 * z32)
+    ) / 1152.0
+    return zeta / w2, b, a
+
+
 def phi(zeta: float) -> float:
     """phi(zeta) = zeta/(x^2 - 1); regular and positive, phi(0) = 2^{-2/3}."""
-    if zeta < _ZETA_SWITCH:
-        return _horner(_coeffs("phi"), zeta)
-    x = x_of_zeta(zeta).x
-    return zeta / ((x - 1.0) * (x + 1.0))
+    return _coefficient_functions(x_of_zeta(zeta))[0]
 
 
 def b0(zeta: float) -> float:
     """First Ai'-channel coefficient function (negative, vanishing at infinity)."""
-    if zeta < _ZETA_SWITCH:
-        return _horner(_coeffs("b0"), zeta)
-    x = x_of_zeta(zeta).x
-    w2 = (x - 1.0) * (x + 1.0)
-    return -0.5 / math.sqrt(zeta) * (x * (x * x - 6.0) / (12.0 * w2**1.5) + 5.0 / (24.0 * zeta**1.5))
+    return _coefficient_functions(x_of_zeta(zeta))[1]
 
 
 def a1(zeta: float) -> float:
     """Second Ai-channel coefficient function; the three pole pieces cancel."""
-    if zeta < _ZETA_SWITCH:
-        return _horner(_coeffs("a1"), zeta)
-    x = x_of_zeta(zeta).x
-    x2 = x * x
-    w2 = (x - 1.0) * (x + 1.0)
-    z32 = zeta**1.5
-    return (
-        (145.0 + 249.0 * x2 - 9.0 * x2 * x2) / w2**3
-        - 7.0 * x * (x2 - 6.0) / (w2**1.5 * z32)
-        - 455.0 / (4.0 * z32 * z32)
-    ) / 1152.0
+    return _coefficient_functions(x_of_zeta(zeta))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -189,42 +195,32 @@ def _log_norm_prefactor(n: int, nu: float) -> float:
     return math.fsum(terms)
 
 
-def uniform_psi_approx(
-    mode: OscillatorMode,
-    x_scaled: float,
-    f_orders: int = 3,
-    g_orders: int = 2,
-) -> ScaledValue:
+def uniform_psi_approx(mode: OscillatorMode, x_scaled: float) -> ScaledValue:
     """Airy-type approximation to psi_n(nu * x_scaled), x_scaled >= 1.
 
-    f_orders counts retained F-coefficients (max 3: 1, 1/24, a1+1/576);
-    g_orders counts retained G-coefficients (max 2: b0, b0/24).
+    psi_n is proportional to phi^{1/4} [Ai(t) F + nu^{-8/3} Ai'(t) G] with
+    t = nu^{4/3} zeta, F = 1 + nu^{-2}/24 + (a1 + 1/576) nu^{-4} and
+    G = b0 (1 + nu^{-2}/24): every printed coefficient is kept.
     """
     if not x_scaled >= 1.0:
         raise DomainError(f"uniform approximation needs x_scaled >= 1, got {x_scaled}")
-    if not 1 <= f_orders <= 3:
-        raise ValueError("f_orders must be 1..3 (printed coefficients only)")
-    if not 0 <= g_orders <= 2:
-        raise ValueError("g_orders must be 0..2 (printed coefficients only)")
     n, nu = mode.n, mode.nu
-    zeta = zeta_of_x(x_scaled).zeta
+    point = zeta_of_x(x_scaled)
+    ph, b, a = _coefficient_functions(point)
     nu2 = nu * nu
 
-    fs = [1.0, 1.0 / 24.0, a1(zeta) + 1.0 / 576.0][:f_orders]
-    F = sum(c * nu2**-k for k, c in enumerate(fs))
-    b = b0(zeta)
-    gs = [b, b / 24.0][:g_orders]
-    G = sum(c * nu2**-k for k, c in enumerate(gs))
+    F = sum(c * nu2**-k for k, c in enumerate((1.0, 1.0 / 24.0, a + 1.0 / 576.0)))
+    G = sum(c * nu2**-k for k, c in enumerate((b, b / 24.0)))
 
-    t = nu ** (4.0 / 3.0) * zeta
+    t = nu ** (4.0 / 3.0) * point.zeta
     ai, aip = airy_scaled(t)
     # Upsilon = Ai(t) F + nu^{-8/3} Ai'(t) G, combined on Ai's exponent
     de = aip.exponent - ai.exponent
     ups = ai.mantissa * F
-    if g_orders and aip.mantissa != 0.0:
+    if aip.mantissa != 0.0:
         ups += math.ldexp(aip.mantissa, max(min(de, 1000), -1000)) * nu ** (-8.0 / 3.0) * G
 
-    amp = math.exp(_log_norm_prefactor(n, nu)) * phi(zeta) ** 0.25 * ups
+    amp = math.exp(_log_norm_prefactor(n, nu)) * ph**0.25 * ups
     out = ScaledValue.from_float(amp)
     if out.mantissa == 0.0:
         return out

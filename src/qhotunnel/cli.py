@@ -130,16 +130,15 @@ def _run_asym(args) -> int:
 
 def _run_table(args) -> int:
     _check_supported(args.ns)
-    rows = asymptotics.relative_error_table(args.ns, args.tol, args.form)
-    print("n,p_exact,p_asym,rel_error")
-    for r in rows:
-        print(f"{r.n},{_fmt10(r.p_exact)},{_fmt10(r.p_asym)},{_fmt_err(r.rel_error)}")
+    rows = [("n", "p_exact", "p_asym", "rel_error")] + [
+        (str(r.n), _fmt10(r.p_exact), _fmt10(r.p_asym), _fmt_err(r.rel_error))
+        for r in asymptotics.relative_error_table(args.ns, args.tol, args.form)
+    ]
+    for fields in rows:
+        print(",".join(fields))
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "p_exact", "p_asym", "rel_error"])
-            for r in rows:
-                w.writerow([r.n, _fmt10(r.p_exact), _fmt10(r.p_asym), _fmt_err(r.rel_error)])
+            csv.writer(fh).writerows(rows)
     return 0
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from qhotunnel._kernels._hermite_py import _seed
+from qhotunnel.oscillator import _seed
 
 
 def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

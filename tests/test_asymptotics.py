@@ -149,6 +149,32 @@ class TestCoefficientFunctions:
             assert _horner(_coeffs("b0"), zeta) == pytest.approx(b0_closed, rel=1e-10)
             assert _horner(_coeffs("a1"), zeta) == pytest.approx(a1_closed, rel=1e-9)
 
+    # 1.084 is where the a1 closed form, just above the switch, is worst
+    @pytest.mark.parametrize(
+        "x", [1.0 + 1e-6, 1.001, 1.01, 1.05, 1.084, *np.linspace(1.1, 8.0, 35).tolist()]
+    )
+    def test_evaluator_against_mpmath(self, x):
+        # phi, b0, a1 at zeta_of_x(x) against their closed forms in x at 50 digits
+        import mpmath
+        from mpmath import mpf
+
+        from qhotunnel.asymptotics import _coefficient_functions
+
+        got = _coefficient_functions(zeta_of_x(x))
+        with mpmath.workdps(50):
+            xm = mpf(x)
+            w2 = xm * xm - 1
+            z32 = mpf(3) / 4 * (xm * mpmath.sqrt(w2) - mpmath.acosh(xm))
+            zeta = z32 ** (mpf(2) / 3)
+            ref = (
+                zeta / w2,
+                -(xm * (xm * xm - 6) / (12 * w2**1.5) + 5 / (24 * z32)) / (2 * mpmath.sqrt(zeta)),
+                ((145 + 249 * xm**2 - 9 * xm**4) / w2**3 - 7 * xm * (xm * xm - 6) / (w2**1.5 * z32)
+                 - 455 / (4 * z32**2)) / 1152,
+            )
+            errors = [float(abs(g / r - 1)) for g, r in zip(got, ref)]
+        assert all(e <= bound for e, bound in zip(errors, (1e-14, 1e-12, 1e-10))), errors
+
     def test_phi_bounded(self):
         bound = 2.0 ** (-2.0 / 3.0)
         for zeta in np.linspace(0.0, 10.0, 101):
@@ -189,12 +215,19 @@ class TestUniformApprox:
         # error should fall at least as fast as nu^-2 per retained order
         assert w400 < w100 * (801.0 / 201.0) ** -1.0
 
-    def test_truncation_orders_matter(self):
-        mode = OscillatorMode(50)
-        full = uniform_psi_approx(mode, 1.3)
-        coarse = uniform_psi_approx(mode, 1.3, f_orders=1, g_orders=0)
-        ref = eval_psi(mode, 1.3 * mode.nu)
-        assert rel_diff(full, ref) < rel_diff(coarse, ref)
+    def test_no_newton_inversion(self, monkeypatch):
+        # the approximation knows x, so it never inverts zeta(x)
+        import qhotunnel.asymptotics as asymptotics
+
+        xs = (1.0, 1.05, 1.1, 1.5, 2.0, 3.0, 10.0)
+        args = [(OscillatorMode(n), x) for n in (10, 400) for x in xs]
+        before = [uniform_psi_approx(*a) for a in args]
+
+        def no_inversion(zeta):
+            raise AssertionError(f"x_of_zeta({zeta}) called")
+
+        monkeypatch.setattr(asymptotics, "x_of_zeta", no_inversion)
+        assert [uniform_psi_approx(*a) for a in args] == before
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhotunnel import oscillator
-from qhotunnel._kernels import BACKEND
-from qhotunnel._kernels._hermite_py import psi_scaled_grid as psi_py
+from qhotunnel import BACKEND
+from qhotunnel.oscillator import psi_scaled_grid as psi_py
 from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid
 
 from ._per_step_kernel import psi_scaled_grid as psi_ref
