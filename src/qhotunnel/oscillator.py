@@ -29,10 +29,20 @@ and each step is four ufunc calls writing into two state arrays and one
 scratch array, with the roundings of (c1*x)*m - c2*pm in that order (no
 fused multiply-add, no reassociation).  This is the package's only
 kernel; there is no compiled twin.
+
+psi_pair runs the same recurrence, with the same roundings and rescaling
+points, in plain Python floats at one point, where a float step costs a
+fraction of a ufunc call; eval_psi and eval_density use it.  Beyond the
+turning point, march_tail integrates psi'' = (x^2 - (2n+1)) psi backward
+from deep in the tail and scales the result to psi_pair's value at
+fl(nu): the oracle's density for large n, at O(n) float steps instead of
+O(n) ufunc calls.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 import numbers
 import operator
@@ -43,6 +53,8 @@ import numpy as np
 # Beyond this |x| the seed exponent x^2/2 * log2(e) passes 2^53, so its
 # integer part is no longer exact and psi_n loses every digit.
 X_MAX = 2.0**26
+
+_log = logging.getLogger(__name__)
 
 _MAX_BLOCK = 64
 _BLOCK_LOG2_RANGE = 900.0  # binary orders a block may drift from [1/2, 1)
@@ -96,6 +108,14 @@ def _block_length(x: np.ndarray) -> int:
     return min(_MAX_BLOCK, int(_BLOCK_LOG2_RANGE // growth))
 
 
+def _coefficients(n: int) -> tuple[list[float], list[float]]:
+    """The recurrence's c1[k] = sqrt(2/(k+1)) and c2[k] = sqrt(k/(k+1)), for k < n."""
+    # IEEE division and sqrt round correctly, so these hold the same doubles
+    # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0))
+    k = np.arange(n, dtype=np.float64)
+    return np.sqrt(2.0 / (k + 1.0)).tolist(), np.sqrt(k / (k + 1.0)).tolist()
+
+
 def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled psi_n on a grid: (mantissa, exponent) arrays.
 
@@ -105,11 +125,7 @@ def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, e = _seed(x)
     if n == 0:
         return m, e
-    # IEEE division and sqrt round correctly, so these hold the same doubles
-    # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0))
-    k = np.arange(n, dtype=np.float64)
-    c1 = np.sqrt(2.0 / (k + 1.0)).tolist()
-    c2 = np.sqrt(k / (k + 1.0)).tolist()
+    c1, c2 = _coefficients(n)
     pm = np.zeros_like(m)
     t = np.empty_like(m)
     block = _block_length(x)
@@ -210,10 +226,39 @@ def rel_diff(a: ScaledValue, b: ScaledValue) -> float:
     return abs(ratio - 1.0)
 
 
+def _scaled(m: float, e: int) -> ScaledValue:
+    m, de = math.frexp(m)
+    return ScaledValue(m, e + de if m else 0)
+
+
+def psi_pair(n: int, x: float) -> tuple[ScaledValue, ScaledValue]:
+    """(psi_n(x), psi_{n-1}(x)) at one point, by the kernel's recurrence in plain floats.
+
+    The seed, the block length, the roundings of (c1*x)*m - c2*pm and the
+    rescaling points are the kernel's, so psi_n equals psi_scaled_grid(n, [x])
+    bit for bit; psi_{-1} is 0.  On one point a Python float step costs a
+    fraction of a ufunc call.
+    """
+    xs = np.array([x], dtype=np.float64)
+    m0, e0 = _seed(xs)
+    x, m, e, pm = float(xs[0]), float(m0[0]), int(e0[0]), 0.0
+    c1, c2 = _coefficients(n)
+    steps = zip(c1, c2)
+    block = _block_length(xs)
+    for _ in range(0, n, block):
+        for a, b in itertools.islice(steps, block):
+            m, pm = (x * a) * m - pm * b, m
+        _, s = math.frexp(max(abs(m), abs(pm)))
+        e += s
+        m, pm = math.ldexp(m, -s), math.ldexp(pm, -s)
+    return _scaled(m, e), _scaled(pm, e)
+
+
 def eval_psi(mode: OscillatorMode, x: float) -> ScaledValue:
     """psi_n(x) as a ScaledValue, for |x| <= X_MAX."""
-    m, e = eval_psi_grid(mode, np.array([x], dtype=np.float64))
-    return ScaledValue(float(m[0]), int(e[0]))
+    if not abs(x) <= X_MAX:  # also rejects nan
+        raise ValueError(f"psi_n(x) needs |x| <= 2^26, got x = {x}")
+    return psi_pair(mode.n, x)[0]
 
 
 def eval_density(mode: OscillatorMode, x: float) -> ScaledValue:
@@ -252,3 +297,101 @@ def density_floats(mode: OscillatorMode, x: np.ndarray) -> np.ndarray:
     m, e = eval_psi_grid(mode, x)
     e2 = np.clip(2 * e, -4000, 4000).astype(np.int64)
     return np.ldexp(m * m, e2)
+
+
+# The march ends at T, where the rigorous bound psi_n^2(nu + t) <= psi_n^2(nu)
+# exp(-(4/3) sqrt(2 nu) t^(3/2)) reaches this fraction; it drops no more than
+# that share of the density, far below the oracle's tolerance floor of 1e-14.
+_TAIL_FLOOR = 1e-40
+# Taylor terms per march step.  h sqrt(q) stays below 1.9 (h is within a
+# factor sqrt(2) of nu^(-1/3)/4), and the last term is then under 1e-17 of
+# psi; 40 terms give the same P_n to the bit at n = 1e3, 5.2e3 and 1e5.
+_TAYLOR_TERMS = 24
+
+
+@dataclass(frozen=True)
+class TailMarch:
+    """psi_n beyond the turning point as the dense output of a backward Taylor march.
+
+    In t = x - nu, with nu = fl(sqrt(2n+1)), psi'' = q psi where
+    q = t (t + 2 nu) + r and r = nu^2 - (2n+1) is formed exactly.  The march
+    starts at t = T from the WKB log-derivative -sqrt(q) - x/(2q) and takes
+    fixed steps of h, a power of two, down to t = 0, so every knot i*h is
+    exact.  It runs backward because psi_n is the solution that decays in
+    x: the error of the start and the roundings of each step excite the
+    other solution, which shrinks relative to psi_n on the way down (Glaser,
+    Liu & Rokhlin 2007; Townsend, Trogdon & Olver, arXiv:1410.5286).  The
+    table is scaled so that it meets psi_n(nu) from psi_pair at t = 0.
+
+    table[i] holds the Taylor coefficients of psi_n about t = (i+1) h, used
+    for t in [i h, (i+1) h].  seed_residual is the relative difference of
+    the march's log-derivative at t = 0 and the seed's
+    sqrt(2n) psi_{n-1}/psi_n - nu, which the march never uses: a check that
+    the two meet.
+    """
+
+    nu: float
+    step: float
+    table: np.ndarray
+    seed_residual: float
+
+    @property
+    def end(self) -> float:
+        """T: the table covers t in [0, T]."""
+        return len(self.table) * self.step
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """psi_n(x)^2 for x >= nu, by Horner on the table; exactly 0.0 from nu + T on."""
+        t = np.asarray(x, dtype=np.float64) - self.nu
+        if not np.all(t >= 0.0):  # also rejects nan
+            raise ValueError(f"the march covers x >= {self.nu} only")
+        i = np.floor(t / self.step)
+        inside = i < len(self.table)
+        i = i[inside].astype(np.intp)
+        s = t[inside] - (i + 1) * self.step
+        coeffs = self.table[i]
+        y = coeffs[:, -1]
+        for k in range(coeffs.shape[1] - 2, -1, -1):
+            y = y * s + coeffs[:, k]
+        out = np.zeros_like(t)
+        out[inside] = y * y
+        return out
+
+
+def march_tail(mode: OscillatorMode) -> TailMarch:
+    """psi_n on [nu, nu + T] from a backward Taylor march, scaled to psi_pair's value at nu."""
+    n, nu = mode.n, mode.nu
+    psi, psi_prev = psi_pair(n, nu)
+    p, perr = two_prod(nu, nu)
+    r = (p - (2 * n + 1)) + perr  # p - (2n+1) is exact (Sterbenz)
+    h = 2.0 ** round(math.log2(nu ** (-1.0 / 3.0) / 4.0))
+    reach = (0.75 * math.log(1.0 / _TAIL_FLOOR) / math.sqrt(2.0 * nu)) ** (2.0 / 3.0)
+    steps = math.ceil(reach / h)
+
+    t = steps * h
+    q = t * (t + 2.0 * nu) + r
+    y, dy = 1.0, -math.sqrt(q) - (nu + t) / (2.0 * q)
+    rows = []
+    for i in range(steps, 0, -1):
+        # about t = i h, q = q0 + q1 s + s^2, so (j+1)(j+2) a[j+2] = q0 a[j] + q1 a[j-1] + a[j-2]
+        t = i * h
+        q0, q1 = t * (t + 2.0 * nu) + r, 2.0 * (t + nu)
+        a = [0.0, 0.0, y, dy]  # a[j-1] = a[j-2] = 0 for j = 0
+        for j in range(_TAYLOR_TERMS - 2):
+            a.append((q0 * a[j + 2] + q1 * a[j + 1] + a[j]) / ((j + 1) * (j + 2)))
+        a = a[2:]
+        rows.append(a)
+        # psi and psi' at s = -h, the next knot down
+        y = dy = 0.0
+        for j in range(_TAYLOR_TERMS - 1, 0, -1):
+            y = y * -h + a[j]
+            dy = dy * -h + j * a[j]
+        y = y * -h + a[0]
+    table = np.array(rows[::-1]) * (psi.to_float() / y)
+
+    ratio = math.ldexp(psi_prev.mantissa / psi.mantissa, psi_prev.exponent - psi.exponent)
+    seed_w = math.sqrt(2.0 * n) * ratio - nu
+    residual = abs(dy / y - seed_w) / abs(seed_w)
+    _log.debug("march n=%d: %d steps of %g to t = %g, seed log-derivative residual %.2e",
+               n, steps, h, steps * h, residual)
+    return TailMarch(nu, h, table, residual)

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhotunnel import cli
-from qhotunnel.asymptotics import FORMS
-from qhotunnel.quadrature import NonConvergence
+from qhotunnel.asymptotics import FORMS, tunnel_probability_asym
+from qhotunnel.oscillator import OscillatorMode
+from qhotunnel.quadrature import NonConvergence, tunnel_probability_exact
 
 from ._oracles import FROZEN
 
@@ -35,6 +36,14 @@ class TestExact:
         assert n == "0"
         # 10 printed significant digits: granularity ~5e-11 here
         assert float(value) == pytest.approx(FROZEN["erfc_1"], abs=1e-10)
+
+    def test_largest_supported_n_matches_eq42(self, capsys):
+        # eq42's truncation is far below 1e-11 here; what remains is the oracle's fl(nu) bias
+        mode = OscillatorMode(10**6)
+        p_exact = tunnel_probability_exact(mode, 1e-13)
+        p_asym = tunnel_probability_asym(mode, "eq42").value
+        assert abs(p_exact - p_asym) <= 1e-11 * p_asym
+        assert run_cli(capsys, "exact", str(10**6)) == (0, f"1000000 {p_exact:.10g}\n", "")
 
     def test_multiple_n(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "0", "2")

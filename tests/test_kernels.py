@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qhotunnel import oscillator
 from qhotunnel import BACKEND
 from qhotunnel.oscillator import psi_scaled_grid as psi_py
-from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid
+from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid, psi_pair
 
 from ._per_step_kernel import psi_scaled_grid as psi_ref
 
@@ -53,6 +53,39 @@ def test_block_kernel_matches_per_step_reference(n, xs):
     mr, er = psi_ref(n, xs)
     assert np.array_equal(mb, mr)
     assert eb.dtype == np.int64 and np.array_equal(eb, er)
+
+
+def _pair_bits(n, x):
+    psi, _ = psi_pair(n, x)
+    return psi.mantissa, psi.exponent
+
+
+@pytest.mark.parametrize("n,xs", list(_twin_grids()))
+def test_scalar_loop_matches_per_step_reference(n, xs):
+    # the first 30 random points and every fixed one (0, +-nu, +-1e3, 1e5), then -0.0 and +-X_MAX
+    xs = np.concatenate([xs[:30], xs[300:], [-0.0, oscillator.X_MAX, -oscillator.X_MAX]])
+    mr, er = psi_ref(n, xs)
+    assert [_pair_bits(n, x) for x in xs.tolist()] == list(zip(mr.tolist(), er.tolist()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 65, 100])
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310, -1e-310])
+def test_scalar_loop_matches_kernel_at_subnormal_x(n, x):
+    # the per-step reference overflows here; the block kernel on the same single point does not
+    m, e = psi_py(n, np.array([x]))
+    assert _pair_bits(n, x) == (m[0], e[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 800])
+def test_scalar_loop_returns_the_previous_order(n):
+    x = 0.9 * math.sqrt(2 * n + 1)
+    _, prev = psi_pair(n, x)
+    assert _pair_bits(n - 1, x) == (prev.mantissa, prev.exponent)
+
+
+def test_eval_psi_runs_the_scalar_loop(monkeypatch):
+    monkeypatch.setattr(oscillator, "psi_scaled_grid", None)
+    assert eval_psi(OscillatorMode(400), 25.0) == psi_pair(400, 25.0)[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 100])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qhotunnel import oscillator
 from qhotunnel import quadrature as quad
-from qhotunnel.oscillator import OscillatorMode, density_floats
+from qhotunnel.oscillator import OscillatorMode, density_floats, march_tail
 from qhotunnel.quadrature import (
     NonConvergence,
     integrate_decaying,
@@ -151,6 +151,7 @@ def _oracle_case(n):
 
 _DECAYING_CASES = {
     **{f"oracle n={n}": _oracle_case(n) for n in (0, 1, 10, 100, 800, 5200)},
+    "march n=5200": (march_tail(OscillatorMode(5200)).density, *_oracle_case(5200)[1:]),
     "exp(-x^2) from 1": (lambda x: np.exp(-x * x), 1.0, {}),
     "exp(-x) from 0": (lambda x: np.exp(-x), 0.0, {}),
     "scalar exp(-x^2)": (lambda x: math.exp(-x * x), 1.0, {}),
@@ -248,22 +249,85 @@ class TestLookAhead:
         assert integrate_decaying(f, 1.0, 1e-13) == integrate_decaying(lambda x: math.exp(-x * x), 1.0, 1e-13)
 
 
+def _count_routes(monkeypatch):
+    """Record the size of each grid-kernel call and the n of each march."""
+    kernel_calls, marches = [], []
+    kernel, march = oscillator.psi_scaled_grid, quad.march_tail
+
+    def counted_kernel(order, xs):
+        kernel_calls.append(len(xs))
+        return kernel(order, xs)
+
+    def counted_march(mode):
+        marches.append(mode.n)
+        return march(mode)
+
+    monkeypatch.setattr(oscillator, "psi_scaled_grid", counted_kernel)
+    monkeypatch.setattr(quad, "march_tail", counted_march)
+    return kernel_calls, marches
+
+
 class TestRounds:
-    @pytest.mark.parametrize("n", [0, 10, 800, 9800])
+    @pytest.mark.parametrize("n", [0, 10, 800, quad._MARCH_MIN_N - 1])
     def test_one_kernel_call_per_oracle_solve(self, n, monkeypatch):
-        calls = []
-        kernel = oscillator.psi_scaled_grid
-
-        def counted(order, xs):
-            calls.append(len(xs))
-            return kernel(order, xs)
-
-        monkeypatch.setattr(oscillator, "psi_scaled_grid", counted)
+        kernel_calls, marches = _count_routes(monkeypatch)
         tunnel_probability_exact(OscillatorMode(n), 1e-13)
-        assert len(calls) == 1
+        assert len(kernel_calls) == 1 and marches == []
+
+    @pytest.mark.parametrize("n", [quad._MARCH_MIN_N, 9800])
+    def test_one_march_and_no_kernel_call_per_oracle_solve(self, n, monkeypatch):
+        kernel_calls, marches = _count_routes(monkeypatch)
+        tunnel_probability_exact(OscillatorMode(n), 1e-13)
+        assert kernel_calls == [] and marches == [n]
 
     def test_one_round_logged_per_oracle_solve(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="qhotunnel.quadrature"):
             tunnel_probability_exact(OscillatorMode(800), 1e-13)
         rounds = [r for r in caplog.records if r.name == "qhotunnel.quadrature"]
         assert [r.getMessage() for r in rounds] == ["quadrature round 0: 8 panels, 576 nodes in one call"]
+
+    def test_march_logs_on_the_oscillator_logger(self, caplog):
+        with caplog.at_level(logging.DEBUG):
+            tunnel_probability_exact(OscillatorMode(9800), 1e-13)
+        lines = [(r.name, r.getMessage().split(":")[0]) for r in caplog.records]
+        assert lines == [("qhotunnel.oscillator", "march n=9800"), ("qhotunnel.quadrature", "quadrature round 0")]
+
+
+class TestMarchOracle:
+    """From _MARCH_MIN_N on the oracle integrates the march; it must reproduce the kernel route."""
+
+    @pytest.mark.parametrize(
+        "n,bound", [(quad._MARCH_MIN_N, 1e-13), (2000, 1e-13), (5200, 1e-13), (9800, 1e-13), (10**5, 5e-13)]
+    )
+    def test_agrees_with_the_kernel_route(self, n, bound):
+        mode = OscillatorMode(n)
+        march = integrate_decaying(march_tail(mode).density, mode.nu, 1e-13)
+        kernel = integrate_decaying(lambda xs: density_floats(mode, xs), mode.nu, 1e-13)
+        assert abs(march.value - kernel.value) <= bound * kernel.value
+        assert (march.panels_used, march.tail_cut) == (kernel.panels_used, kernel.tail_cut)
+        assert tunnel_probability_exact(mode, 1e-13) == 2.0 * march.value
+
+    @pytest.mark.parametrize("n", [2000, 9800, 10**5, 10**6])
+    def test_log_derivative_meets_the_seed(self, n, caplog):
+        with caplog.at_level(logging.DEBUG, logger="qhotunnel.oscillator"):
+            march = march_tail(OscillatorMode(n))
+        assert march.seed_residual <= 1e-12
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "qhotunnel.oscillator"]
+        assert line.endswith(f"seed log-derivative residual {march.seed_residual:.2e}")
+
+    @pytest.mark.parametrize("n", [1000, 5200, 10**5])
+    def test_table_ends_where_the_bound_drops_the_density(self, n):
+        mode = OscillatorMode(n)
+        march = march_tail(mode)
+        edge = np.array([mode.nu, mode.nu + march.end])
+        # the kernel at the march's end: below 1e-40 of the density at the turning point
+        peak, tail = density_floats(mode, edge)
+        assert 0.0 < tail <= 1e-40 * peak
+        assert march.density(np.array([mode.nu + march.end, mode.nu + 2 * march.end, 1e3 * mode.nu])).tolist() == [0.0] * 3
+        assert march.density(edge[:1])[0] == pytest.approx(peak, rel=1e-13)
+
+    @pytest.mark.parametrize("offset", [math.nan, -1e-9, -1.0])
+    def test_density_rejects_x_before_the_table(self, offset):
+        march = march_tail(OscillatorMode(1000))
+        with pytest.raises(ValueError):
+            march.density(np.array([march.nu, march.nu + offset]))
