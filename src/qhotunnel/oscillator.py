@@ -30,9 +30,10 @@ scratch array, with the roundings of (c1*x)*m - c2*pm in that order (no
 fused multiply-add, no reassociation).  This is the package's only
 kernel; there is no compiled twin.
 
-psi_pair runs the same recurrence, with the same roundings and rescaling
-points, in plain Python floats at one point, where a float step costs a
-fraction of a ufunc call; eval_psi and eval_density use it.  Beyond the
+psi_pair runs the same recurrence from the kernel's psi_0, with the same
+roundings and rescaling points, in plain Python floats at one point, where
+a float step costs a fraction of a ufunc call; eval_psi and eval_density
+use it.  Beyond the
 turning point, march_tail integrates psi'' = (x^2 - (2n+1)) psi backward
 from deep in the tail and scales the result to psi_pair's value at
 fl(nu): the oracle's density for large n, at O(n) float steps instead of
@@ -236,11 +237,13 @@ def psi_pair(n: int, x: float) -> tuple[ScaledValue, ScaledValue]:
 
     The seed, the block length, the roundings of (c1*x)*m - c2*pm and the
     rescaling points are the kernel's, so psi_n equals psi_scaled_grid(n, [x])
-    bit for bit; psi_{-1} is 0.  On one point a Python float step costs a
-    fraction of a ufunc call.
+    bit for bit; psi_{-1} is 0.  The loop starts from the kernel's own psi_0,
+    psi_scaled_grid(0, [x]) (which runs no step), so a trace of the kernel
+    sees every one-point evaluation.  On one point a Python float step costs
+    a fraction of a ufunc call.
     """
     xs = np.array([x], dtype=np.float64)
-    m0, e0 = _seed(xs)
+    m0, e0 = psi_scaled_grid(0, xs)
     x, m, e, pm = float(xs[0]), float(m0[0]), int(e0[0]), 0.0
     c1, c2 = _coefficients(n)
     steps = zip(c1, c2)

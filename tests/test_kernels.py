@@ -84,8 +84,16 @@ def test_scalar_loop_returns_the_previous_order(n):
 
 
 def test_eval_psi_runs_the_scalar_loop(monkeypatch):
-    monkeypatch.setattr(oscillator, "psi_scaled_grid", None)
+    # the grid kernel only seeds the loop: psi_0 at the one point, no step
+    calls = []
+
+    def counting(n, x):
+        calls.append((n, np.size(x)))
+        return psi_py(n, x)
+
+    monkeypatch.setattr(oscillator, "psi_scaled_grid", counting)
     assert eval_psi(OscillatorMode(400), 25.0) == psi_pair(400, 25.0)[0]
+    assert calls == [(0, 1), (0, 1)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 100])

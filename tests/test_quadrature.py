@@ -250,12 +250,12 @@ class TestLookAhead:
 
 
 def _count_routes(monkeypatch):
-    """Record the size of each grid-kernel call and the n of each march."""
+    """Record the (order, size) of each grid-kernel call and the n of each march."""
     kernel_calls, marches = [], []
     kernel, march = oscillator.psi_scaled_grid, quad.march_tail
 
     def counted_kernel(order, xs):
-        kernel_calls.append(len(xs))
+        kernel_calls.append((order, len(xs)))
         return kernel(order, xs)
 
     def counted_march(mode):
@@ -272,13 +272,14 @@ class TestRounds:
     def test_one_kernel_call_per_oracle_solve(self, n, monkeypatch):
         kernel_calls, marches = _count_routes(monkeypatch)
         tunnel_probability_exact(OscillatorMode(n), 1e-13)
-        assert len(kernel_calls) == 1 and marches == []
+        assert [order for order, _ in kernel_calls] == [n] and marches == []
 
     @pytest.mark.parametrize("n", [quad._MARCH_MIN_N, 9800])
-    def test_one_march_and_no_kernel_call_per_oracle_solve(self, n, monkeypatch):
+    def test_one_march_and_only_the_seed_kernel_call_per_oracle_solve(self, n, monkeypatch):
+        # the kernel gives psi_0 at fl(nu) and runs no step; psi_pair's float loop does the n steps
         kernel_calls, marches = _count_routes(monkeypatch)
         tunnel_probability_exact(OscillatorMode(n), 1e-13)
-        assert kernel_calls == [] and marches == [n]
+        assert kernel_calls == [(0, 1)] and marches == [n]
 
     def test_one_round_logged_per_oracle_solve(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="qhotunnel.quadrature"):
