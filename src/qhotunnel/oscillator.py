@@ -30,14 +30,13 @@ scratch array, with the roundings of (c1*x)*m - c2*pm in that order (no
 fused multiply-add, no reassociation).  This is the package's only
 kernel; there is no compiled twin.
 
-psi_pair runs the same recurrence from the kernel's psi_0, with the same
-roundings and rescaling points, in plain Python floats at one point, where
-a float step costs a fraction of a ufunc call; eval_psi and eval_density
-use it.  Beyond the
+On a one-point grid the kernel runs the same steps, with the same
+roundings and rescaling points, in plain Python floats, where a step costs
+a fraction of a ufunc call; the values are the same bits.  Beyond the
 turning point, march_tail integrates psi'' = (x^2 - (2n+1)) psi backward
-from deep in the tail and scales the result to psi_pair's value at
-fl(nu): the oracle's density for large n, at O(n) float steps instead of
-O(n) ufunc calls.
+from deep in the tail and scales the result to the kernel's psi_n(fl(nu)):
+the oracle's density for large n, at O(n) float steps instead of O(n)
+ufunc calls.
 """
 
 from __future__ import annotations
@@ -126,6 +125,8 @@ def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, e = _seed(x)
     if n == 0:
         return m, e
+    if x.size == 1:
+        return _psi_scaled_point(n, x, m, e)
     c1, c2 = _coefficients(n)
     pm = np.zeros_like(m)
     t = np.empty_like(m)
@@ -148,6 +149,21 @@ def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, de = np.frexp(m)
     e = np.where(m == 0.0, 0, e + de)
     return m, e.astype(np.int64)
+
+
+def _psi_scaled_point(n: int, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi_scaled_grid's steps on a one-point grid x seeded with (m, e), in plain floats."""
+    block = _block_length(x)
+    xf, mf, ef, pm = float(x.flat[0]), float(m.flat[0]), int(e.flat[0]), 0.0
+    steps = zip(*_coefficients(n))
+    for _ in range(0, n, block):
+        for a, b in itertools.islice(steps, block):
+            mf, pm = (xf * a) * mf - pm * b, mf
+        _, s = math.frexp(max(abs(mf), abs(pm)))
+        ef += s
+        mf, pm = math.ldexp(mf, -s), math.ldexp(pm, -s)
+    mf, de = math.frexp(mf)
+    return np.full(x.shape, mf), np.full(x.shape, ef + de if mf else 0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -227,41 +243,10 @@ def rel_diff(a: ScaledValue, b: ScaledValue) -> float:
     return abs(ratio - 1.0)
 
 
-def _scaled(m: float, e: int) -> ScaledValue:
-    m, de = math.frexp(m)
-    return ScaledValue(m, e + de if m else 0)
-
-
-def psi_pair(n: int, x: float) -> tuple[ScaledValue, ScaledValue]:
-    """(psi_n(x), psi_{n-1}(x)) at one point, by the kernel's recurrence in plain floats.
-
-    The seed, the block length, the roundings of (c1*x)*m - c2*pm and the
-    rescaling points are the kernel's, so psi_n equals psi_scaled_grid(n, [x])
-    bit for bit; psi_{-1} is 0.  The loop starts from the kernel's own psi_0,
-    psi_scaled_grid(0, [x]) (which runs no step), so a trace of the kernel
-    sees every one-point evaluation.  On one point a Python float step costs
-    a fraction of a ufunc call.
-    """
-    xs = np.array([x], dtype=np.float64)
-    m0, e0 = psi_scaled_grid(0, xs)
-    x, m, e, pm = float(xs[0]), float(m0[0]), int(e0[0]), 0.0
-    c1, c2 = _coefficients(n)
-    steps = zip(c1, c2)
-    block = _block_length(xs)
-    for _ in range(0, n, block):
-        for a, b in itertools.islice(steps, block):
-            m, pm = (x * a) * m - pm * b, m
-        _, s = math.frexp(max(abs(m), abs(pm)))
-        e += s
-        m, pm = math.ldexp(m, -s), math.ldexp(pm, -s)
-    return _scaled(m, e), _scaled(pm, e)
-
-
 def eval_psi(mode: OscillatorMode, x: float) -> ScaledValue:
     """psi_n(x) as a ScaledValue, for |x| <= X_MAX."""
-    if not abs(x) <= X_MAX:  # also rejects nan
-        raise ValueError(f"psi_n(x) needs |x| <= 2^26, got x = {x}")
-    return psi_pair(mode.n, x)[0]
+    m, e = eval_psi_grid(mode, np.array([x], dtype=np.float64))
+    return ScaledValue(float(m[0]), int(e[0]))
 
 
 def eval_density(mode: OscillatorMode, x: float) -> ScaledValue:
@@ -324,7 +309,7 @@ class TailMarch:
     x: the error of the start and the roundings of each step excite the
     other solution, which shrinks relative to psi_n on the way down (Glaser,
     Liu & Rokhlin 2007; Townsend, Trogdon & Olver, arXiv:1410.5286).  The
-    table is scaled so that it meets psi_n(nu) from psi_pair at t = 0.
+    table is scaled so that it meets the kernel's psi_n(nu) at t = 0.
 
     table[i] holds the Taylor coefficients of psi_n about t = (i+1) h, used
     for t in [i h, (i+1) h].  seed_residual is the relative difference of
@@ -362,9 +347,12 @@ class TailMarch:
 
 
 def march_tail(mode: OscillatorMode) -> TailMarch:
-    """psi_n on [nu, nu + T] from a backward Taylor march, scaled to psi_pair's value at nu."""
+    """psi_n on [nu, nu + T] from a backward Taylor march, scaled to the kernel's psi_n(nu)."""
     n, nu = mode.n, mode.nu
-    psi, psi_prev = psi_pair(n, nu)
+    xs = np.array([nu])
+    m, e = (v.item() for v in psi_scaled_grid(n, xs))
+    # psi_{n-1} feeds only the check at the end, where sqrt(2n) = 0 drops it at n = 0
+    pm, pe = (v.item() for v in psi_scaled_grid(max(n - 1, 0), xs))
     p, perr = two_prod(nu, nu)
     r = (p - (2 * n + 1)) + perr  # p - (2n+1) is exact (Sterbenz)
     h = 2.0 ** round(math.log2(nu ** (-1.0 / 3.0) / 4.0))
@@ -390,9 +378,9 @@ def march_tail(mode: OscillatorMode) -> TailMarch:
             y = y * -h + a[j]
             dy = dy * -h + j * a[j]
         y = y * -h + a[0]
-    table = np.array(rows[::-1]) * (psi.to_float() / y)
+    table = np.array(rows[::-1]) * (math.ldexp(m, e) / y)
 
-    ratio = math.ldexp(psi_prev.mantissa / psi.mantissa, psi_prev.exponent - psi.exponent)
+    ratio = math.ldexp(pm / m, pe - e)
     seed_w = math.sqrt(2.0 * n) * ratio - nu
     residual = abs(dy / y - seed_w) / abs(seed_w)
     _log.debug("march n=%d: %d steps of %g to t = %g, seed log-derivative residual %.2e",

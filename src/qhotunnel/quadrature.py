@@ -40,11 +40,12 @@ _EST_SAFETY = 15.0     # accepted-panel error is well below |whole - halves|
 _LOOKAHEAD = 8         # panels per round; one round for n <= 1e5
 _PANEL_BUDGET = 100_000
 # Oracle solves from this n on integrate march_tail's density, below it the
-# grid kernel's.  Per solve the march is the faster from about n = 100 (0.55
-# against 0.66 ms; 0.97 against 3.75 ms at n = 800, 0.77 against 6.95 ms at
-# 2000; one pinned core, median of 15), but at n = 500 it moves a digit of the
-# paper's table (rel_error 6.2760e-10 prints as 6.2762e-10: a 2e-14 change in
-# P_n), so the kernel keeps n < 1000, every row of that table among them.
+# grid kernel's.  The value is not a measured speed crossover: per solve the
+# march is the faster from about n = 100 (timed solve by solve, not with the
+# benchmark harness), but at n = 500 it moves a digit of the paper's table
+# (rel_error 6.2760e-10 prints as 6.2762e-10: a 2e-14 change in P_n).  1000
+# is a round number above the table's largest n, 800, chosen so that every
+# row of that table stays on the kernel.
 _MARCH_MIN_N = 1000
 
 _log = logging.getLogger(__name__)

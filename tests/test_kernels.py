@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qhotunnel import oscillator
 from qhotunnel import BACKEND
 from qhotunnel.oscillator import psi_scaled_grid as psi_py
-from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid, psi_pair
+from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid
 
 from ._per_step_kernel import psi_scaled_grid as psi_ref
 
@@ -55,45 +55,31 @@ def test_block_kernel_matches_per_step_reference(n, xs):
     assert eb.dtype == np.int64 and np.array_equal(eb, er)
 
 
-def _pair_bits(n, x):
-    psi, _ = psi_pair(n, x)
-    return psi.mantissa, psi.exponent
+def _point_bits(n, x):
+    (m,), (e,) = psi_py(n, np.array([x]))
+    return m, e
 
 
 @pytest.mark.parametrize("n,xs", list(_twin_grids()))
-def test_scalar_loop_matches_per_step_reference(n, xs):
+def test_one_point_loop_matches_per_step_reference(n, xs):
     # the first 30 random points and every fixed one (0, +-nu, +-1e3, 1e5), then -0.0 and +-X_MAX
     xs = np.concatenate([xs[:30], xs[300:], [-0.0, oscillator.X_MAX, -oscillator.X_MAX]])
     mr, er = psi_ref(n, xs)
-    assert [_pair_bits(n, x) for x in xs.tolist()] == list(zip(mr.tolist(), er.tolist()))
+    assert [_point_bits(n, x) for x in xs.tolist()] == list(zip(mr.tolist(), er.tolist()))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 65, 100])
 @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310, -1e-310])
-def test_scalar_loop_matches_kernel_at_subnormal_x(n, x):
-    # the per-step reference overflows here; the block kernel on the same single point does not
-    m, e = psi_py(n, np.array([x]))
-    assert _pair_bits(n, x) == (m[0], e[0])
+def test_one_point_loop_matches_ufunc_loop_at_subnormal_x(n, x):
+    # the per-step reference overflows here; a two-point grid of the same x runs the ufunc steps
+    m, e = psi_py(n, np.array([x, x]))
+    assert _point_bits(n, x) == (m[0], e[0])
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 800])
-def test_scalar_loop_returns_the_previous_order(n):
-    x = 0.9 * math.sqrt(2 * n + 1)
-    _, prev = psi_pair(n, x)
-    assert _pair_bits(n - 1, x) == (prev.mantissa, prev.exponent)
-
-
-def test_eval_psi_runs_the_scalar_loop(monkeypatch):
-    # the grid kernel only seeds the loop: psi_0 at the one point, no step
-    calls = []
-
-    def counting(n, x):
-        calls.append((n, np.size(x)))
-        return psi_py(n, x)
-
-    monkeypatch.setattr(oscillator, "psi_scaled_grid", counting)
-    assert eval_psi(OscillatorMode(400), 25.0) == psi_pair(400, 25.0)[0]
-    assert calls == [(0, 1), (0, 1)]
+def test_one_point_loop_keeps_the_grid_shape():
+    m, e = psi_py(40, np.array([[3.0]]))
+    assert m.shape == e.shape == (1, 1) and e.dtype == np.int64
+    assert (m[0, 0], e[0, 0]) == _point_bits(40, 3.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 100])

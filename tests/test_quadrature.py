@@ -275,11 +275,11 @@ class TestRounds:
         assert [order for order, _ in kernel_calls] == [n] and marches == []
 
     @pytest.mark.parametrize("n", [quad._MARCH_MIN_N, 9800])
-    def test_one_march_and_only_the_seed_kernel_call_per_oracle_solve(self, n, monkeypatch):
-        # the kernel gives psi_0 at fl(nu) and runs no step; psi_pair's float loop does the n steps
+    def test_one_march_and_two_one_point_kernel_calls_per_oracle_solve(self, n, monkeypatch):
+        # psi_n and psi_{n-1} at fl(nu), which seed and check the march
         kernel_calls, marches = _count_routes(monkeypatch)
         tunnel_probability_exact(OscillatorMode(n), 1e-13)
-        assert kernel_calls == [(0, 1)] and marches == [n]
+        assert kernel_calls == [(n, 1), (n - 1, 1)] and marches == [n]
 
     def test_one_round_logged_per_oracle_solve(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="qhotunnel.quadrature"):
