@@ -33,7 +33,7 @@ from .oscillator import eval_psi  # noqa: F401
 # --which -> the series family whose derive_<family>_series prints it
 _COEFF_FAMILIES = {"alpha": "phi", "beta": "beta", "a1": "a1", "inversion": "inversion"}
 _VALIDATE_XS = (1.0, 1.1, 1.5, 2.0, 3.0)
-# the largest n measured: exact 0.4 s on the march, validate 3 s on the grid kernel
+# the largest n measured: exact 0.6 s on the march, validate 3 s on the grid kernel
 _MAX_N = 10**6
 
 
