@@ -32,11 +32,12 @@ kernel; there is no compiled twin.
 
 On a one-point grid the kernel runs the same steps, with the same
 roundings and rescaling points, in plain Python floats, where a step costs
-a fraction of a ufunc call; the values are the same bits.  Beyond the
-turning point, march_tail integrates psi'' = (x^2 - (2n+1)) psi backward
-from deep in the tail and scales the result to the kernel's psi_n(fl(nu)):
-the oracle's density for large n, at O(n) float steps instead of O(n)
-ufunc calls.
+a fraction of a ufunc call; the values are the same bits.  Either loop
+ends holding psi_{n-1} beside psi_n, and previous=True returns it too.
+Beyond the turning point, march_tail integrates psi'' = (x^2 - (2n+1)) psi
+backward from deep in the tail and scales the result to the kernel's
+psi_n(fl(nu)), taken with psi_{n-1} from one one-point call: the oracle's
+density for large n, at n float steps instead of O(n) ufunc calls.
 """
 
 from __future__ import annotations
@@ -108,35 +109,51 @@ def _block_length(x: np.ndarray) -> int:
     return min(_MAX_BLOCK, int(_BLOCK_LOG2_RANGE // growth))
 
 
-def _coefficients(n: int) -> tuple[list[float], list[float]]:
+def _coefficients(n: int) -> tuple[memoryview, memoryview]:
     """The recurrence's c1[k] = sqrt(2/(k+1)) and c2[k] = sqrt(k/(k+1)), for k < n."""
     # IEEE division and sqrt round correctly, so these hold the same doubles
-    # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0))
+    # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0)); iterating a
+    # memoryview makes each float as its step reads it, with no list to build
     k = np.arange(n, dtype=np.float64)
-    return np.sqrt(2.0 / (k + 1.0)).tolist(), np.sqrt(k / (k + 1.0)).tolist()
+    return memoryview(np.sqrt(2.0 / (k + 1.0))), memoryview(np.sqrt(k / (k + 1.0)))
 
 
-def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, e) with m in [1/2, 1), or (0.0, 0) where m is 0."""
+    m, de = np.frexp(m)
+    return m, np.where(m == 0.0, 0, e + de).astype(np.int64)
+
+
+def psi_scaled_grid(n: int, x: np.ndarray, *, previous: bool = False) -> tuple[np.ndarray, ...]:
     """Scaled psi_n on a grid: (mantissa, exponent) arrays.
 
-    mantissa is 0.0 exactly at zeros of psi_n, with exponent 0 there.
+    mantissa is 0.0 exactly at zeros of psi_n, with exponent 0 there.  With
+    previous=True the call returns (m, e, m_prev, e_prev), where the last
+    two are psi_{n-1} from the same run, normalised the same way; since
+    rescaling is by exact powers of two they are the bits of
+    psi_scaled_grid(n - 1, x), and psi_{-1} is (0.0, 0).  At subnormal x
+    a power-of-two rescaling can round, so there the bits also depend on
+    the grid's largest |x|, which sets the block length.
     """
+    if n < 0:
+        raise ValueError(f"quantum number must be >= 0, got {n}")
     x = np.ascontiguousarray(x, dtype=np.float64)
     m, e = _seed(x)
     if n == 0:
-        return m, e
+        return (m, e, np.zeros_like(m), np.zeros_like(e)) if previous else (m, e)
     if x.size == 1:
-        return _psi_scaled_point(n, x, m, e)
-    c1, c2 = _coefficients(n)
+        out = _psi_scaled_point(n, x, m, e)
+        return out if previous else out[:2]
     pm = np.zeros_like(m)
     t = np.empty_like(m)
     block = _block_length(x)
-    for start in range(0, n, block):
-        for j in range(start, min(start + block, n)):
+    steps = zip(*_coefficients(n))
+    for _ in range(0, n, block):
+        for a, b in itertools.islice(steps, block):
             # (c1*x)*m - c2*pm, rounded in that order, into pm's storage
-            np.multiply(x, c1[j], t)
+            np.multiply(x, a, t)
             np.multiply(t, m, t)
-            np.multiply(pm, c2[j], pm)
+            np.multiply(pm, b, pm)
             np.subtract(t, pm, pm)
             m, pm = pm, m
         np.abs(m, t)
@@ -146,13 +163,13 @@ def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.negative(s, s)
         np.ldexp(m, s, m)
         np.ldexp(pm, s, pm)
-    m, de = np.frexp(m)
-    e = np.where(m == 0.0, 0, e + de)
-    return m, e.astype(np.int64)
+    if previous:
+        return *_normalized(m, e), *_normalized(pm, e)
+    return _normalized(m, e)
 
 
-def _psi_scaled_point(n: int, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi_scaled_grid's steps on a one-point grid x seeded with (m, e), in plain floats."""
+def _psi_scaled_point(n: int, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """psi_scaled_grid(n, x, previous=True)'s steps on a one-point grid x seeded with (m, e), in plain floats."""
     block = _block_length(x)
     xf, mf, ef, pm = float(x.flat[0]), float(m.flat[0]), int(e.flat[0]), 0.0
     steps = zip(*_coefficients(n))
@@ -162,8 +179,9 @@ def _psi_scaled_point(n: int, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> tu
         _, s = math.frexp(max(abs(mf), abs(pm)))
         ef += s
         mf, pm = math.ldexp(mf, -s), math.ldexp(pm, -s)
-    mf, de = math.frexp(mf)
-    return np.full(x.shape, mf), np.full(x.shape, ef + de if mf else 0, dtype=np.int64)
+    (mf, de), (pm, pe) = math.frexp(mf), math.frexp(pm)
+    return (np.full(x.shape, mf), np.full(x.shape, ef + de if mf else 0, dtype=np.int64),
+            np.full(x.shape, pm), np.full(x.shape, ef + pe if pm else 0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -349,10 +367,8 @@ class TailMarch:
 def march_tail(mode: OscillatorMode) -> TailMarch:
     """psi_n on [nu, nu + T] from a backward Taylor march, scaled to the kernel's psi_n(nu)."""
     n, nu = mode.n, mode.nu
-    xs = np.array([nu])
-    m, e = (v.item() for v in psi_scaled_grid(n, xs))
-    # psi_{n-1} feeds only the check at the end, where sqrt(2n) = 0 drops it at n = 0
-    pm, pe = (v.item() for v in psi_scaled_grid(max(n - 1, 0), xs))
+    # psi_{n-1}, from the same run, feeds only the check at the end
+    m, e, pm, pe = (v.item() for v in psi_scaled_grid(n, np.array([nu]), previous=True))
     p, perr = two_prod(nu, nu)
     r = (p - (2 * n + 1)) + perr  # p - (2n+1) is exact (Sterbenz)
     h = 2.0 ** round(math.log2(nu ** (-1.0 / 3.0) / 4.0))

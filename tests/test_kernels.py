@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,24 @@ def test_block_kernel_matches_per_step_reference(n, xs):
     mr, er = psi_ref(n, xs)
     assert np.array_equal(mb, mr)
     assert eb.dtype == np.int64 and np.array_equal(eb, er)
+
+
+@pytest.mark.parametrize("n,xs", list(_twin_grids()))
+def test_previous_order_comes_with_the_same_bits(n, xs):
+    # one run gives psi_n and psi_{n-1}, with psi_{-1} = (0.0, 0)
+    m, e, pm, pe = psi_py(n, xs, previous=True)
+    mn, en = psi_py(n, xs)
+    mr, er = psi_py(n - 1, xs) if n else (np.zeros_like(xs), np.zeros(xs.shape, np.int64))
+    assert np.array_equal(m, mn) and np.array_equal(e, en)
+    assert np.array_equal(pm, mr) and np.array_equal(pe, er)
+    assert pm.shape == pe.shape == xs.shape and pe.dtype == np.int64
+
+
+@pytest.mark.parametrize("previous", [False, True])
+@pytest.mark.parametrize("xs", [[1.0], [1.0, 2.0]])
+def test_negative_order_rejected(xs, previous):
+    with pytest.raises(ValueError):
+        psi_py(-3, np.array(xs), previous=previous)
 
 
 def _point_bits(n, x):
@@ -150,3 +169,29 @@ def test_kernel_runs_each_distinct_abs_x_once(monkeypatch, signs):
     x = np.concatenate([-half, half, half]) if signs == "mixed" else np.concatenate([half, half])
     eval_psi_grid(OscillatorMode(9), x)
     assert seen == [100 if signs == "mixed" else 200]
+
+
+def _psi_mp(n, t):
+    """psi_n(t) in mpmath: pi^(-1/4) (2^n n!)^(-1/2) e^(-t^2/2) H_n(t)."""
+    return mpmath.pi ** -0.25 / mpmath.sqrt(2**n * mpmath.factorial(n)) * mpmath.exp(-t * t / 2) * mpmath.hermite(n, t)
+
+
+@st.composite
+def _orders_and_points(draw):
+    """n <= 300 and x with |x| <= nu + 5."""
+    n = draw(st.integers(0, 300))
+    reach = math.sqrt(2 * n + 1) + 5.0
+    return n, draw(st.floats(-reach, reach))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_orders_and_points())
+def test_recurrence_identity_gives_the_derivative(case):
+    # psi_n' = sqrt(2n) psi_{n-1} - x psi_n, both from one kernel run, against mpmath's derivative
+    n, x = case
+    m, e, pm, pe = (v.item() for v in psi_py(n, np.array([x]), previous=True))
+    with mpmath.workdps(40):
+        lead, back = mpmath.sqrt(2 * n) * mpmath.ldexp(pm, pe), x * mpmath.ldexp(m, e)
+        exact = mpmath.diff(lambda t: _psi_mp(n, t), mpmath.mpf(x))
+        scale = abs(lead) + (abs(x) + 1.0) * abs(mpmath.ldexp(m, e))
+        assert abs((lead - back) - exact) <= 5e-14 * scale
