@@ -96,6 +96,8 @@ def zeta_of_x(x: float) -> ZetaPoint:
         zeta = _horner(_coeffs("zeta"), x - 1.0) if x > 1.0 else 0.0
     else:
         zeta = _zeta32_closed(x) ** (2.0 / 3.0)
+    if not math.isfinite(zeta):  # x^2 overflows a double from x ~ 1.3e154 on
+        raise DomainError(f"the map overflows a double at x = {x}")
     return ZetaPoint(x, zeta)
 
 
@@ -137,11 +139,14 @@ def _coefficient_functions(p: ZetaPoint) -> tuple[float, float, float]:
     x = p.x
     x2 = x * x
     w2 = (x - 1.0) * (x + 1.0)
-    w3 = w2**1.5
+    try:
+        w3, w6 = w2**1.5, w2**3
+    except OverflowError:  # from x ~ 1.3e51 on
+        raise DomainError(f"the coefficient functions overflow a double at x = {x}") from None
     z32 = zeta**1.5
     b = -0.5 / math.sqrt(zeta) * (x * (x2 - 6.0) / (12.0 * w3) + 5.0 / (24.0 * z32))
     a = (
-        (145.0 + 249.0 * x2 - 9.0 * x2 * x2) / w2**3
+        (145.0 + 249.0 * x2 - 9.0 * x2 * x2) / w6
         - 7.0 * x * (x2 - 6.0) / (w3 * z32)
         - 455.0 / (4.0 * z32 * z32)
     ) / 1152.0
@@ -232,10 +237,16 @@ def uniform_psi_approx(mode: OscillatorMode, x_scaled: float) -> ScaledValue:
 # ---------------------------------------------------------------------------
 
 
+def _check_expansion(nu: float, M: int, top: int) -> None:
+    if not 1 <= M <= top:
+        raise ValueError(f"M must be 1..{top}")
+    if not 1.0 <= nu < math.inf:  # nu = sqrt(2n + 1) >= 1 for every state
+        raise DomainError(f"the expansions need finite nu >= 1, got {nu}")
+
+
 def integral_phi_ai2_asym(nu: float, M: int) -> ExpansionResult:
     """Watson expansion of the integral of phi(zeta) Ai^2(nu^{4/3} zeta)."""
-    if not 1 <= M <= 5:
-        raise ValueError("M must be 1..5")
+    _check_expansion(nu, M, 5)
     alphas = _coeffs("phi")
     terms = []
     for m in range(M):
@@ -252,8 +263,7 @@ def integral_phib0_dai2_asym(nu: float, M: int) -> ExpansionResult:
     [Ai^2]' means 2 Ai Ai' evaluated at the stretched argument.  The
     leading term is the boundary contribution at zeta = 0.
     """
-    if not 1 <= M <= 4:
-        raise ValueError("M must be 1..4")
+    _check_expansion(nu, M, 4)
     betas = _coeffs("beta")
     terms = [(_nu_label(-4.0 / 3.0), betas[0] * (3.0 * nu) ** (-4.0 / 3.0) / _GAMMA_2THIRDS**2)]
     for m in range(1, M):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import sys
 
 import numpy as np
@@ -130,15 +131,19 @@ def _run_asym(args) -> int:
 
 def _run_table(args) -> int:
     _check_supported(args.ns)
-    rows = [("n", "p_exact", "p_asym", "rel_error")] + [
-        (str(r.n), _fmt10(r.p_exact), _fmt10(r.p_asym), _fmt_err(r.rel_error))
-        for r in asymptotics.relative_error_table(args.ns, args.tol, args.form)
-    ]
-    for fields in rows:
-        print(",".join(fields))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+    # opened before any row is computed, so an unwritable path prints nothing
+    try:
+        sink = open(args.csv, "w", newline="") if args.csv else io.StringIO()
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.csv}: {exc.strerror}") from None
+    with sink:
+        rows = [("n", "p_exact", "p_asym", "rel_error")] + [
+            (str(r.n), _fmt10(r.p_exact), _fmt10(r.p_asym), _fmt_err(r.rel_error))
+            for r in asymptotics.relative_error_table(args.ns, args.tol, args.form)
+        ]
+        for fields in rows:
+            print(",".join(fields))
+        csv.writer(sink).writerows(rows)
     return 0
 
 

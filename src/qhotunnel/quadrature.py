@@ -70,6 +70,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [1e-14, 1e-3], got {tol}")
 
 
+def _check_bounds(*bounds: float) -> None:
+    if not np.isfinite(bounds).all():
+        raise ValueError(f"integration bounds must be finite, got {bounds}")
+
+
 def _grid_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """Accept both vectorised and scalar integrands; the first batch decides which."""
 
@@ -179,6 +184,7 @@ def integrate_decaying(
     ``abs_error_estimate <= tol * max(|value|, 1)``.
     """
     _check_tol(tol)
+    _check_bounds(a)
     fg = _grid_fn(f)
     if first_width is None:
         first_width = min(1.0, 10.0 / a) if a > 1.0 else 1.0
@@ -214,6 +220,7 @@ def integrate_decaying(
 def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-13) -> QuadratureResult:
     """Adaptive integral over a finite interval (used for normalisation checks)."""
     _check_tol(tol)
+    _check_bounds(a, b)
     fg = _grid_fn(f)
     budget = _Budget(_PANEL_BUDGET)
     nseg = 8

@@ -16,12 +16,15 @@ zeta^{-1/2} are never stored in a series: the derivations factor them out
 by hand and cancel them before any series arithmetic happens.
 
 A TruncatedSeries holds integer numerators over one common denominator, so
-a product is plain int arithmetic with no gcd.  Inverses use Newton
-doubling g <- g(2 - a*g) (Brent & Kung, JACM 1978) with the denominator
-reduced once per doubling; powers run their recurrence over a denominator
-fixed in advance, so every division in it is exact.  Products, inverses,
-powers and reversions of series are unique, so the results equal those of
-Fraction arithmetic coefficient for coefficient.
+a product is plain int arithmetic with no gcd.  Newton doubling
+g <- g(2 - a*g) (Brent & Kung, JACM 1978) serves inverses only, with the
+denominator reduced once per doubling.  Reversion is Lagrange inversion:
+one inverse q and the products q^k, of which coefficient k - 1 over k is
+coefficient k of the result.  Powers run their recurrence over a
+denominator fixed in advance, so every division in it is exact.  Products,
+inverses, powers and reversions of series are unique, so whichever route
+computes them, the results equal those of Fraction arithmetic coefficient
+for coefficient.
 """
 
 from __future__ import annotations
@@ -169,9 +172,6 @@ class TruncatedSeries:
     def truncate(self, m: int) -> "TruncatedSeries":
         return TruncatedSeries(self.den, self.nums[:m])
 
-    def _padded(self, m: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.den, self.nums + [0] * (m - len(self)))
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         d = math.lcm(self.den, other.den)
         sa, sb = d // self.den, d // other.den
@@ -225,36 +225,23 @@ class TruncatedSeries:
                 )
         return TruncatedSeries(self.den, self.nums[k:])
 
-    def derivative(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.den, [k * n for k, n in enumerate(self.nums)][1:] or [0])
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        if inner.nums[0]:
-            raise ValueError("composition needs a zero constant term in the inner series")
-        m = min(len(self), len(inner))
-        return TruncatedSeries(*_compose((self.den, self.nums), (inner.den, inner.nums), m))
-
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse: self(revert(self)) = identity.
 
-        Newton's step r <- r - (self(r) - var) / self'(r) doubles the number
-        of correct terms.  The top term of self' that the truncation leaves
-        unknown is set to 0; no correct term of the step depends on it.
+        Lagrange inversion (Comtet, Advanced Combinatorics, 1974, 3.8): with
+        self = var p and q = 1/p, coefficient k of the inverse is
+        [var^(k-1)] q^k / k.
         """
         if self.nums[0]:
             raise NotInvertible("reversion needs a zero constant term")
         if len(self) < 2 or not self.nums[1]:
             raise NotInvertible("reversion needs an invertible linear term")
-        m = len(self)
-        ds = self.derivative()._padded(m)
-        var = TruncatedSeries(1, [0, 1])._padded(m)
-        r = TruncatedSeries(self.nums[1], [0, self.den])
-        while len(r) < m:
-            n = min(2 * len(r), m)
-            r = r._padded(n)
-            step = (self.truncate(n).compose(r) - var.truncate(n)).div(ds.truncate(n).compose(r))
-            r = r - step
-        return r
+        q = self.shift_down(1).inverse()
+        qk, coeffs = q, [0, q.coefficient(0)]
+        for k in range(2, len(self)):
+            qk = qk.mul(q)
+            coeffs.append(qk.coefficient(k - 1) / k)
+        return TruncatedSeries.from_list(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +309,6 @@ def _binomial(t, r: Fraction) -> tuple[int, list[int]]:
             s += (p * i - q * (k - i)) * nt[i] * y[k - i]
         y.append(s // (k * q * dt))
     return e, y
-
-
-def _compose(f, g, m: int) -> tuple[int, list[int]]:
-    """f(g) mod var^m by Horner's rule; g's constant term must be zero.
-
-    Each later Horner step multiplies by g and so raises the valuation by
-    one; with k steps still to come only the first m - k terms matter.
-    """
-    df, nf = f
-    d, out = df, nf[m - 1 : m]
-    for k in range(m - 2, -1, -1):
-        dp, prod = _mul((d, out), g, m - k)
-        # prod / dp + f_k / df over their least common denominator
-        d = math.lcm(dp, df)
-        sp = d // dp
-        if sp != 1:
-            prod = [n * sp for n in prod]
-        prod[0] += nf[k] * (d // df)
-        d, out = _reduced(d, prod)
-    return d, out
 
 
 # ---------------------------------------------------------------------------

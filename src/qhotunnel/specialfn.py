@@ -107,8 +107,8 @@ def airy_scaled(t: float) -> tuple[ScaledValue, ScaledValue]:
     The scaled form stays meaningful far beyond the double underflow
     point (Ai(200) ~ 1e-819), which the uniform approximation needs.
     """
-    if not t >= 0.0:
-        raise DomainError(f"airy requires t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"airy requires finite t >= 0, got {t}")
     if t <= AIRY_SWITCH:
         a, ap = _airy_series(t)
         return ScaledValue.from_float(a), ScaledValue.from_float(ap)

@@ -59,6 +59,12 @@ class TestZetaMap:
         with pytest.raises(DomainError):
             zeta_of_x(0.999)
 
+    @pytest.mark.parametrize("x", [math.inf, 1e300, 1.4e154])
+    def test_overflowing_map_raises_domain_error(self, x):
+        # (x - 1)(x + 1) overflows a double from x of about 1.3e154
+        with pytest.raises(DomainError, match="map overflows"):
+            zeta_of_x(x)
+
     def test_jacobian_identity(self):
         # d(zeta)/dx equals phi(zeta)^{-1/2}
         h = 1e-6
@@ -233,6 +239,12 @@ class TestUniformApprox:
         with pytest.raises(DomainError):
             uniform_psi_approx(OscillatorMode(10), 0.99)
 
+    @pytest.mark.parametrize("x_scaled", [1e60, 1e150, 1e300, math.inf])
+    def test_overflowing_point_raises_domain_error(self, x_scaled):
+        # (x^2 - 1)^3 overflows from x of about 1.3e51, x^2 from about 1.3e154
+        with pytest.raises(DomainError, match="overflow"):
+            uniform_psi_approx(OscillatorMode(10), x_scaled)
+
     # ln[2^((n+1)/2) sqrt(n!) e^(n/2+1/4) / (pi^(1/4) nu^(n+2/3))], nu^2 = 2n + 1,
     # from mpmath at 200 digits, rounded to 50
     LOG_NORM_PREFACTOR = {
@@ -298,6 +310,12 @@ class TestIntegralExpansions:
         approx = integral_phib0_dai2_asym(nu, M).value
         first_omitted = abs(integral_phib0_dai2_asym(nu, M + 1).terms[-1][1])
         assert abs(approx - quad) < first_omitted
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, -3.0, math.inf, math.nan])
+    def test_nu_outside_the_states_raises_domain_error(self, nu):
+        for expansion in (integral_phi_ai2_asym, integral_phib0_dai2_asym):
+            with pytest.raises(DomainError, match="finite nu >= 1"):
+                expansion(nu, 3)
 
     def test_sign_is_positive(self):
         # phi*b0 < 0 and [Ai^2]' < 0, so the integrand and hence the whole

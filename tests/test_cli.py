@@ -82,6 +82,13 @@ class TestTable:
             file_rows = list(csv.reader(fh))
         assert file_rows == stdout_rows
 
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_csv_exits_2_before_any_row(self, capsys, tmp_path, target):
+        path = tmp_path / "missing" / "rows.csv" if target == "missing_dir" else tmp_path
+        code, out, err = run_cli(capsys, "table", "--ns", "10", "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"cannot write {path}" in err
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--ns", "5,8")
         _, second, _ = run_cli(capsys, "table", "--ns", "5,8")

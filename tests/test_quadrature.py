@@ -51,6 +51,14 @@ class TestIntegrateDecaying:
             with pytest.raises(ValueError):
                 integrate_decaying(lambda x: np.exp(-x), 0.0, tol)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            integrate_decaying(lambda x: np.exp(-x), bad)
+        for a, b in ((bad, 1.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                integrate_finite(lambda x: np.exp(-x), a, b)
+
     def test_slow_tails_stop(self):
         # the halves' ratio certifies a slow exponential at the tol it needs, not where f underflows
         r = integrate_decaying(lambda x: 5.0 * np.exp(-x / 3.0), 0.0, 1e-11)

@@ -97,6 +97,12 @@ class TestAiry:
         with pytest.raises(DomainError):
             airy(-0.5)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_rejected(self, t):
+        for fn in (airy, airy_scaled):
+            with pytest.raises(DomainError, match="finite t >= 0"):
+                fn(t)
+
     def test_switch_point(self):
         assert AIRY_SWITCH == 9.0
 
