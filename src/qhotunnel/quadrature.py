@@ -71,7 +71,7 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_bounds(*bounds: float) -> None:
-    if not np.isfinite(bounds).all():
+    if not np.isfinite(np.array(bounds, dtype=float)).all():
         raise ValueError(f"integration bounds must be finite, got {bounds}")
 
 

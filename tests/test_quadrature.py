@@ -58,6 +58,8 @@ class TestIntegrateDecaying:
         for a, b in ((bad, 1.0), (0.0, bad)):
             with pytest.raises(ValueError, match="bounds must be finite"):
                 integrate_finite(lambda x: np.exp(-x), a, b)
+        # an int bound past int64 is still a finite double
+        assert integrate_decaying(lambda x: np.exp(-x), 10**300).value == 0.0
 
     def test_slow_tails_stop(self):
         # the halves' ratio certifies a slow exponential at the tol it needs, not where f underflows
