@@ -1,7 +1,8 @@
 """Tunnelling probabilities of the quantum harmonic oscillator.
 
-The package pairs an adaptive-quadrature oracle for the probability mass
-beyond the classical turning points with the closed uniform Airy-type
+The package pairs an exact oracle for the probability mass beyond the
+classical turning points, a finite sum of positive terms from the scaled
+Hermite recurrence, with the closed uniform Airy-type
 asymptotic expansions of that quantity, and re-derives every expansion
 coefficient in exact arithmetic.
 """

@@ -19,10 +19,11 @@ larger of the two, once every B steps (block renormalisation; Gil, Segura
 & Temme, *Numerical Methods for Special Functions*, ch. 4).  Per step
 max(|psi_k|, |psi_{k-1}|) grows or shrinks by at most a factor
 2*sqrt(2)*(|x| + 1), so B (at most 64) is chosen from the grid's largest
-|x| to keep the unnormalised mantissas within 2^(+-900).  Power-of-two
-rescaling is exact, so the values equal those of a kernel that
-renormalises after every step, wherever that one stays finite; this one
-also stays finite for subnormal x.
+|x| to keep the unnormalised mantissas within 2^(+-450), and so the
+products of two of them, which the tail sum adds, within 2^(+-900).
+Power-of-two rescaling is exact, so the values equal those of a kernel
+that renormalises after every step, wherever that one stays finite; this
+one also stays finite for subnormal x.
 
 The step allocates nothing: the coefficients are computed once per call,
 and each step is four ufunc calls writing into two state arrays and one
@@ -32,21 +33,24 @@ kernel; there is no compiled twin.
 
 On a one-point grid the kernel runs the same steps, with the same
 roundings and rescaling points, in plain Python floats, where a step costs
-a fraction of a ufunc call; the values are the same bits.  Either loop
-ends holding psi_{n-1} beside psi_n, and previous=True returns it too.
-Beyond the turning point, march_tail integrates psi'' = (x^2 - (2n+1)) psi
-backward from deep in the tail and scales the result to the kernel's
-psi_n(fl(nu)), taken with psi_{n-1} from one one-point call: the oracle's
-density for large n, at n float steps instead of O(n) ufunc calls.
+a fraction of a ufunc call; the values are the same bits.  That loop also
+sums the tail mass by the ladder identity (DLMF §18.9)
+
+    int_x^inf psi_n^2 = erfc(x)/2 + sum_{k<n} psi_k(x) psi_{k+1}(x) / sqrt(2(k+1)),
+
+whose terms are the products of consecutive pairs the recurrence already
+forms; tail=True returns it.  At x = nu = sqrt(2n+1) every term is
+positive, and the recurrence runs in its dominant direction, so the
+rounding errors of the steps add up but are not amplified.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +59,8 @@ import numpy as np
 # integer part is no longer exact and psi_n loses every digit.
 X_MAX = 2.0**26
 
-_log = logging.getLogger(__name__)
-
 _MAX_BLOCK = 64
-_BLOCK_LOG2_RANGE = 900.0  # binary orders a block may drift from [1/2, 1)
+_BLOCK_LOG2_RANGE = 450.0  # binary orders a block may drift from [1/2, 1)
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for binary64
 HALF_LOG2E_HI = 0.7213475204444817  # 1/(2 ln 2) as hi + lo
@@ -101,7 +103,7 @@ def _seed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_length(x: np.ndarray) -> int:
-    """Steps between rescalings, so no block drifts past 2^(+-900)."""
+    """Steps between rescalings, so no block drifts past 2^(+-450)."""
     xmax = float(np.max(np.abs(x), initial=0.0))
     growth = math.log2(2.0 * math.sqrt(2.0) * (xmax + 1.0))
     if not growth < _BLOCK_LOG2_RANGE:  # also catches inf and nan
@@ -109,13 +111,14 @@ def _block_length(x: np.ndarray) -> int:
     return min(_MAX_BLOCK, int(_BLOCK_LOG2_RANGE // growth))
 
 
-def _coefficients(n: int) -> tuple[memoryview, memoryview]:
+def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The recurrence's c1[k] = sqrt(2/(k+1)) and c2[k] = sqrt(k/(k+1)), for k < n."""
     # IEEE division and sqrt round correctly, so these hold the same doubles
-    # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0)); iterating a
-    # memoryview makes each float as its step reads it, with no list to build
+    # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0)); the loops
+    # iterate memoryviews of them, which make each float as its step reads
+    # it, with no list to build
     k = np.arange(n, dtype=np.float64)
-    return memoryview(np.sqrt(2.0 / (k + 1.0))), memoryview(np.sqrt(k / (k + 1.0)))
+    return np.sqrt(2.0 / (k + 1.0)), np.sqrt(k / (k + 1.0))
 
 
 def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,30 +127,28 @@ def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, np.where(m == 0.0, 0, e + de).astype(np.int64)
 
 
-def psi_scaled_grid(n: int, x: np.ndarray, *, previous: bool = False) -> tuple[np.ndarray, ...]:
+def psi_scaled_grid(n: int, x: np.ndarray, *, tail: bool = False) -> tuple[np.ndarray, ...]:
     """Scaled psi_n on a grid: (mantissa, exponent) arrays.
 
-    mantissa is 0.0 exactly at zeros of psi_n, with exponent 0 there.  With
-    previous=True the call returns (m, e, m_prev, e_prev), where the last
-    two are psi_{n-1} from the same run, normalised the same way; since
-    rescaling is by exact powers of two they are the bits of
-    psi_scaled_grid(n - 1, x), and psi_{-1} is (0.0, 0).  At subnormal x
-    a power-of-two rescaling can round, so there the bits also depend on
-    the grid's largest |x|, which sets the block length.
+    mantissa is 0.0 exactly at zeros of psi_n, with exponent 0 there.  At
+    subnormal x a power-of-two rescaling can round, so there the bits also
+    depend on the grid's largest |x|, which sets the block length.  With
+    tail=True, on a one-point grid only, the call returns (m, e, tm, te),
+    where the last two are the tail mass int_x^inf psi_n^2 from the same
+    run, normalised the same way; psi_n keeps its bits.
     """
     if n < 0:
         raise ValueError(f"quantum number must be >= 0, got {n}")
     x = np.ascontiguousarray(x, dtype=np.float64)
+    if tail and x.size != 1:
+        raise ValueError(f"tail=True needs a one-point grid, got {x.size} points")
     m, e = _seed(x)
-    if n == 0:
-        return (m, e, np.zeros_like(m), np.zeros_like(e)) if previous else (m, e)
     if x.size == 1:
-        out = _psi_scaled_point(n, x, m, e)
-        return out if previous else out[:2]
+        return _psi_scaled_point(n, x, m, e, tail)
     pm = np.zeros_like(m)
     t = np.empty_like(m)
     block = _block_length(x)
-    steps = zip(*_coefficients(n))
+    steps = zip(*map(memoryview, _coefficients(n)))
     for _ in range(0, n, block):
         for a, b in itertools.islice(steps, block):
             # (c1*x)*m - c2*pm, rounded in that order, into pm's storage
@@ -163,25 +164,57 @@ def psi_scaled_grid(n: int, x: np.ndarray, *, previous: bool = False) -> tuple[n
         np.negative(s, s)
         np.ldexp(m, s, m)
         np.ldexp(pm, s, pm)
-    if previous:
-        return *_normalized(m, e), *_normalized(pm, e)
     return _normalized(m, e)
 
 
-def _psi_scaled_point(n: int, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
-    """psi_scaled_grid(n, x, previous=True)'s steps on a one-point grid x seeded with (m, e), in plain floats."""
+def _psi_scaled_point(n: int, x: np.ndarray, m: np.ndarray, e: np.ndarray, tail: bool) -> tuple[np.ndarray, ...]:
+    """psi_scaled_grid's steps on a one-point grid x seeded with (m, e), in plain floats."""
     block = _block_length(x)
-    xf, mf, ef, pm = float(x.flat[0]), float(m.flat[0]), int(e.flat[0]), 0.0
-    steps = zip(*_coefficients(n))
+    xf, mf, ef = float(x.flat[0]), float(m.flat[0]), int(e.flat[0])
+    pm = s = 0.0
+    c1, c2 = _coefficients(n)
+    # fl(x c1[k]) in one multiply: the doubles of the grid loop's first product
+    steps = zip(memoryview(xf * c1), memoryview(c2))
     for _ in range(0, n, block):
         for a, b in itertools.islice(steps, block):
-            mf, pm = (xf * a) * mf - pm * b, mf
-        _, s = math.frexp(max(abs(mf), abs(pm)))
-        ef += s
-        mf, pm = math.ldexp(mf, -s), math.ldexp(pm, -s)
-    (mf, de), (pm, pe) = math.frexp(mf), math.frexp(pm)
-    return (np.full(x.shape, mf), np.full(x.shape, ef + de if mf else 0, dtype=np.int64),
-            np.full(x.shape, pm), np.full(x.shape, ef + pe if pm else 0, dtype=np.int64))
+            u = a * mf
+            mf, pm = u - pm * b, mf
+            s += u * mf  # 2x psi_k psi_{k+1} / sqrt(2(k+1)), in the pair's scale squared
+        _, sh = math.frexp(max(abs(mf), abs(pm)))
+        ef += sh
+        mf, pm, s = math.ldexp(mf, -sh), math.ldexp(pm, -sh), math.ldexp(s, -2 * sh)
+    psi = _filled(x, mf, ef)
+    if not tail:
+        return psi
+    # each term carries the factor fl(x c1[k]), so all are 0 at x = 0
+    terms = s / (2.0 * xf) if xf else 0.0
+    v, k = _half_erfc(xf, float(m.flat[0]), int(e.flat[0]))
+    # erfc(x)/2 lies far above the pair's scale for x << 0 and far below it for x >> 0
+    if k > 2 * ef:
+        return *psi, *_filled(x, v + math.ldexp(terms, 2 * ef - k), k)
+    return *psi, *_filled(x, terms + math.ldexp(v, k - 2 * ef), 2 * ef)
+
+
+def _filled(x: np.ndarray, v: float, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """v * 2**e, normalised, as (mantissa, exponent) arrays of x's shape."""
+    m, de = math.frexp(v)
+    return np.full(x.shape, m), np.full(x.shape, e + de if m else 0, dtype=np.int64)
+
+
+def _half_erfc(x: float, m0: float, e0: int) -> tuple[float, int]:
+    """erfc(x)/2 as v * 2**k, given psi_0(x) = m0 * 2**e0."""
+    v = math.erfc(x)
+    if v >= sys.float_info.min:
+        return 0.5 * v, 0
+    # erfc(x) leaves the normal range at x ~ 26.5; from there on it is
+    # psi_0(x)^2 F(x) / x, with the asymptotic series
+    # F = sum_j (-1)^j (2j-1)!! / (2x^2)^j, whose terms fall below 1e-17 within ten
+    w, term, f, j = 0.5 / (x * x), 1.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * j - 1) * w
+        f += term
+        j += 1
+    return m0 * m0 * f / (2.0 * x), 2 * e0
 
 
 @dataclass(frozen=True)
@@ -303,102 +336,3 @@ def density_floats(mode: OscillatorMode, x: np.ndarray) -> np.ndarray:
     m, e = eval_psi_grid(mode, x)
     e2 = np.clip(2 * e, -4000, 4000).astype(np.int64)
     return np.ldexp(m * m, e2)
-
-
-# The march ends at T, where the rigorous bound psi_n^2(nu + t) <= psi_n^2(nu)
-# exp(-(4/3) sqrt(2 nu) t^(3/2)) reaches this fraction; it drops no more than
-# that share of the density, far below the oracle's tolerance floor of 1e-14.
-_TAIL_FLOOR = 1e-40
-# Taylor terms per march step.  h sqrt(q) stays below 1.9 (h is within a
-# factor sqrt(2) of nu^(-1/3)/4), and the last term is then under 1e-17 of
-# psi; 40 terms give the same P_n to the bit at n = 1e3, 5.2e3 and 1e5.
-_TAYLOR_TERMS = 24
-
-
-@dataclass(frozen=True)
-class TailMarch:
-    """psi_n beyond the turning point as the dense output of a backward Taylor march.
-
-    In t = x - nu, with nu = fl(sqrt(2n+1)), psi'' = q psi where
-    q = t (t + 2 nu) + r and r = nu^2 - (2n+1) is formed exactly.  The march
-    starts at t = T from the WKB log-derivative -sqrt(q) - x/(2q) and takes
-    fixed steps of h, a power of two, down to t = 0, so every knot i*h is
-    exact.  It runs backward because psi_n is the solution that decays in
-    x: the error of the start and the roundings of each step excite the
-    other solution, which shrinks relative to psi_n on the way down (Glaser,
-    Liu & Rokhlin 2007; Townsend, Trogdon & Olver, arXiv:1410.5286).  The
-    table is scaled so that it meets the kernel's psi_n(nu) at t = 0.
-
-    table[i] holds the Taylor coefficients of psi_n about t = (i+1) h, used
-    for t in [i h, (i+1) h].  seed_residual is the relative difference of
-    the march's log-derivative at t = 0 and the seed's
-    sqrt(2n) psi_{n-1}/psi_n - nu, which the march never uses: a check that
-    the two meet.
-    """
-
-    nu: float
-    step: float
-    table: np.ndarray
-    seed_residual: float
-
-    @property
-    def end(self) -> float:
-        """T: the table covers t in [0, T]."""
-        return len(self.table) * self.step
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        """psi_n(x)^2 for x >= nu, by Horner on the table; exactly 0.0 from nu + T on."""
-        t = np.asarray(x, dtype=np.float64) - self.nu
-        if not np.all(t >= 0.0):  # also rejects nan
-            raise ValueError(f"the march covers x >= {self.nu} only")
-        i = np.floor(t / self.step)
-        inside = i < len(self.table)
-        i = i[inside].astype(np.intp)
-        s = t[inside] - (i + 1) * self.step
-        coeffs = self.table[i]
-        y = coeffs[:, -1]
-        for k in range(coeffs.shape[1] - 2, -1, -1):
-            y = y * s + coeffs[:, k]
-        out = np.zeros_like(t)
-        out[inside] = y * y
-        return out
-
-
-def march_tail(mode: OscillatorMode) -> TailMarch:
-    """psi_n on [nu, nu + T] from a backward Taylor march, scaled to the kernel's psi_n(nu)."""
-    n, nu = mode.n, mode.nu
-    # psi_{n-1}, from the same run, feeds only the check at the end
-    m, e, pm, pe = (v.item() for v in psi_scaled_grid(n, np.array([nu]), previous=True))
-    p, perr = two_prod(nu, nu)
-    r = (p - (2 * n + 1)) + perr  # p - (2n+1) is exact (Sterbenz)
-    h = 2.0 ** round(math.log2(nu ** (-1.0 / 3.0) / 4.0))
-    reach = (0.75 * math.log(1.0 / _TAIL_FLOOR) / math.sqrt(2.0 * nu)) ** (2.0 / 3.0)
-    steps = math.ceil(reach / h)
-
-    t = steps * h
-    q = t * (t + 2.0 * nu) + r
-    y, dy = 1.0, -math.sqrt(q) - (nu + t) / (2.0 * q)
-    rows = []
-    for i in range(steps, 0, -1):
-        # about t = i h, q = q0 + q1 s + s^2, so (j+1)(j+2) a[j+2] = q0 a[j] + q1 a[j-1] + a[j-2]
-        t = i * h
-        q0, q1 = t * (t + 2.0 * nu) + r, 2.0 * (t + nu)
-        a = [0.0, 0.0, y, dy]  # a[j-1] = a[j-2] = 0 for j = 0
-        for j in range(_TAYLOR_TERMS - 2):
-            a.append((q0 * a[j + 2] + q1 * a[j + 1] + a[j]) / ((j + 1) * (j + 2)))
-        a = a[2:]
-        rows.append(a)
-        # psi and psi' at s = -h, the next knot down
-        y = dy = 0.0
-        for j in range(_TAYLOR_TERMS - 1, 0, -1):
-            y = y * -h + a[j]
-            dy = dy * -h + j * a[j]
-        y = y * -h + a[0]
-    table = np.array(rows[::-1]) * (math.ldexp(m, e) / y)
-
-    ratio = math.ldexp(pm / m, pe - e)
-    seed_w = math.sqrt(2.0 * n) * ratio - nu
-    residual = abs(dy / y - seed_w) / abs(seed_w)
-    _log.debug("march n=%d: %d steps of %g to t = %g, seed log-derivative residual %.2e",
-               n, steps, h, steps * h, residual)
-    return TailMarch(nu, h, table, residual)

@@ -1,15 +1,12 @@
-"""Adaptive panel quadrature for smooth integrands with an eventually log-concave tail.
+"""Adaptive panel quadrature, and the exact tunnelling oracle.
 
-This is the independent oracle of the package: tunnelling probabilities
-are obtained here by direct numerical integration of the true density
-over [nu, inf), with no input from the asymptotic machinery.
-
-Strategy: 24-point Gauss-Legendre panels laid out with geometrically
-growing width in t = x - a; each panel is accepted only when it agrees
-with its two half-panels, otherwise it is bisected.  The march stops
-when a panel's contribution is negligible and its two halves bound the
-remaining tail (Prekopa, 1973): rigorously where the tail is log-concave,
-heuristically otherwise.
+The integrators serve the acceptance gate's Ai^2 moments and its
+normalisation checks.  Strategy: 24-point Gauss-Legendre panels laid out
+with geometrically growing width in t = x - a; each panel is accepted
+only when it agrees with its two half-panels, otherwise it is bisected.
+The march stops when a panel's contribution is negligible and its two
+halves bound the remaining tail (Prekopa, 1973): rigorously where the
+tail is log-concave, heuristically otherwise.
 
 The march takes its panels in rounds of eight from one layout: one
 integrand call per round gives the whole and both halves of each of its
@@ -18,18 +15,29 @@ did not evaluate (the quarters of a bisected panel; every panel of a
 round whose call raised) is evaluated when the march reaches it.  Each
 sum is one dot over its own 24 nodes, so the result does not depend on
 which call formed it.
+
+The oracle, tunnel_probability_exact, integrates nothing: the tail mass
+beyond the turning point is a finite sum of positive terms that the
+kernel's one-point recurrence forms (see oscillator), with no input from
+the asymptotic machinery.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .oscillator import OscillatorMode, density_floats, march_tail
+from . import oscillator
+from .oscillator import OscillatorMode, two_prod
+
+# Unused here, but perfbench/tracer.py wraps qhotunnel.quadrature.density_floats,
+# so the name stays bound.
+from .oscillator import density_floats  # noqa: F401
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -39,15 +47,6 @@ _TAIL_FRACTION = 0.1   # panel/tail cutoff at tol/10, per contract
 _EST_SAFETY = 15.0     # accepted-panel error is well below |whole - halves|
 _LOOKAHEAD = 8         # panels per round; one round for n <= 1e5
 _PANEL_BUDGET = 100_000
-# Oracle solves from this n on integrate march_tail's density, below it the
-# grid kernel's.  The value is not a measured speed crossover: per solve the
-# march is the faster from about n = 100 (timed solve by solve, not with the
-# benchmark harness), but at n = 500 it moves a digit of the paper's table
-# (rel_error 6.2760e-10 prints as 6.2762e-10: a 2e-14 change in P_n).  1000
-# is a round number above the table's largest n, 800, chosen so that every
-# row of that table stays on the kernel.
-_MARCH_MIN_N = 1000
-
 _log = logging.getLogger(__name__)
 
 
@@ -64,8 +63,8 @@ class QuadratureResult:
 
 
 def _check_tol(tol: float) -> None:
-    # the floor of oracle solves, which below it can march until the budget runs out (n = 7
-    # at 1e-15: 25 s); with no roundoff stop yet, other integrands can do so even at 1e-14
+    # below the floor a smooth integrand can march until the budget runs out (the density
+    # at n = 7 at 1e-15: 25 s); with no roundoff stop yet, some do so even at 1e-14
     if not (1e-14 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-14, 1e-3], got {tol}")
 
@@ -243,15 +242,16 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-13) -> Qua
 def tunnel_probability_exact(mode: OscillatorMode, tol: float = 1e-13) -> float:
     """P_tun for state n: twice the density integral beyond the turning point.
 
-    Works directly on the scaled density, so the normalisation constant
-    and the Hermite polynomial are never formed separately.  Below
-    _MARCH_MIN_N the density comes from one grid-kernel call per round;
-    from it on, from a backward Taylor march seeded at one point, which
-    costs O(n) plain-float steps instead of O(n) ufunc calls.
+    One one-point kernel call at fl(nu) gives psi_n there and the tail
+    mass beyond it, as erfc plus n positive terms; the sliver between the
+    turning point sqrt(2n+1) and fl(nu) is added to first order.  The
+    kernel's rounding, not tol, sets the accuracy: tol is checked as for
+    the integrators, and is otherwise unused.
     """
-    if mode.n >= _MARCH_MIN_N:
-        density = march_tail(mode).density
-    else:
-        density = lambda xs: density_floats(mode, xs)
-    result = integrate_decaying(density, mode.nu, tol)
-    return 2.0 * result.value
+    _check_tol(tol)
+    n, nu = mode.n, mode.nu
+    m, e, tm, te = (v.item() for v in oscillator.psi_scaled_grid(n, np.array([nu]), tail=True))
+    p, perr = two_prod(nu, nu)
+    r = (p - (2 * n + 1)) + perr  # fl(nu)^2 - (2n+1); p - (2n+1) is exact (Sterbenz)
+    # 2 int_nu^fl(nu) psi_n^2 = 2 psi_n^2 (fl(nu) - nu), and fl(nu) - nu = r / (2 fl(nu))
+    return 2.0 * math.ldexp(tm, te) + math.ldexp(m * m * r / nu, 2 * e)

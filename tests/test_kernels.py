@@ -56,22 +56,64 @@ def test_block_kernel_matches_per_step_reference(n, xs):
     assert eb.dtype == np.int64 and np.array_equal(eb, er)
 
 
-@pytest.mark.parametrize("n,xs", list(_twin_grids()))
-def test_previous_order_comes_with_the_same_bits(n, xs):
-    # one run gives psi_n and psi_{n-1}, with psi_{-1} = (0.0, 0)
-    m, e, pm, pe = psi_py(n, xs, previous=True)
-    mn, en = psi_py(n, xs)
-    mr, er = psi_py(n - 1, xs) if n else (np.zeros_like(xs), np.zeros(xs.shape, np.int64))
-    assert np.array_equal(m, mn) and np.array_equal(e, en)
-    assert np.array_equal(pm, mr) and np.array_equal(pe, er)
-    assert pm.shape == pe.shape == xs.shape and pe.dtype == np.int64
-
-
-@pytest.mark.parametrize("previous", [False, True])
+@pytest.mark.parametrize("tail", [False, True])
 @pytest.mark.parametrize("xs", [[1.0], [1.0, 2.0]])
-def test_negative_order_rejected(xs, previous):
+def test_negative_order_rejected(xs, tail):
     with pytest.raises(ValueError):
-        psi_py(-3, np.array(xs), previous=previous)
+        psi_py(-3, np.array(xs), tail=tail)
+
+
+@pytest.mark.parametrize("xs", [[1.0, 2.0], [[1.0], [2.0]]])
+def test_tail_needs_a_one_point_grid(xs):
+    with pytest.raises(ValueError, match="one-point grid"):
+        psi_py(5, np.array(xs), tail=True)
+
+
+def _scaled_mp(m, e):
+    return mpmath.ldexp(mpmath.mpf(m), int(e))
+
+
+def _tail(n, x):
+    """(psi_n, tail mass) at x as mpmath numbers, from one tail=True call."""
+    m, e, tm, te = (v.item() for v in psi_py(n, np.array([x]), tail=True))
+    return _scaled_mp(m, e), _scaled_mp(tm, te)
+
+
+@pytest.mark.parametrize("x", [-30.0, -3.0, -0.0, 0.0, 5e-324, 0.7, 1.0, 5.0, 26.4, 26.6, 27.0, 40.0, 1e3])
+def test_tail_at_order_zero_is_half_erfc(x):
+    # from x ~ 26.5 erfc(x) leaves the normal range, and the tail is still returned scaled
+    with mpmath.workdps(40):
+        _, t = _tail(0, x)
+        assert abs(t / (mpmath.erfc(x) / 2) - 1) <= 4e-16
+
+
+@pytest.mark.parametrize("n,xs", list(_twin_grids()))
+def test_tail_comes_with_the_same_bits(n, xs):
+    # one run gives psi_n and its tail mass, on one-point grids only, and psi_n keeps its bits
+    if xs.size != 1:
+        with pytest.raises(ValueError, match="one-point grid"):
+            psi_py(n, xs, tail=True)
+        return
+    for x in (xs[0], -xs[0], 0.3, 1e3, 5e-324):
+        m, e, tm, te = psi_py(n, np.array([x]), tail=True)
+        assert (m[0], e[0]) == _point_bits(n, x)
+        _assert_normalized(tm, te)
+
+
+def _tail_mp(n, x):
+    """int_x^inf psi_n^2 by mp.quad, with psi_n from mpmath.hermite, on unit panels up to nu + 1."""
+    cuts = [x + k for k in range(int(max(math.sqrt(2 * n + 1) - x, 0.0)) + 2)] + [mpmath.inf]
+    return mpmath.quad(lambda t: _psi_mp(n, t) ** 2, cuts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+@pytest.mark.parametrize("where", ["-nu-3", "-2", "0", "0.3", "nu", "nu+3"])
+def test_tail_matches_quadrature_of_the_density(n, where):
+    nu = math.sqrt(2 * n + 1)
+    x = {"-nu-3": -nu - 3.0, "-2": -2.0, "0": 0.0, "0.3": 0.3, "nu": nu, "nu+3": nu + 3.0}[where]
+    with mpmath.workdps(30):
+        _, t = _tail(n, x)
+        assert abs(t / _tail_mp(n, mpmath.mpf(x)) - 1) <= 1e-14
 
 
 def _point_bits(n, x):
@@ -98,6 +140,7 @@ def test_one_point_loop_matches_ufunc_loop_at_subnormal_x(n, x):
 def test_one_point_loop_keeps_the_grid_shape():
     m, e = psi_py(40, np.array([[3.0]]))
     assert m.shape == e.shape == (1, 1) and e.dtype == np.int64
+    assert [v.shape for v in psi_py(40, np.array([[3.0]]), tail=True)] == [(1, 1)] * 4
     assert (m[0, 0], e[0, 0]) == _point_bits(40, 3.0)
 
 
@@ -187,9 +230,10 @@ def _orders_and_points(draw):
 @settings(max_examples=30, deadline=None)
 @given(_orders_and_points())
 def test_recurrence_identity_gives_the_derivative(case):
-    # psi_n' = sqrt(2n) psi_{n-1} - x psi_n, both from one kernel run, against mpmath's derivative
+    # psi_n' = sqrt(2n) psi_{n-1} - x psi_n, with the kernel's psi_n and psi_{n-1}, against mpmath's derivative
     n, x = case
-    m, e, pm, pe = (v.item() for v in psi_py(n, np.array([x]), previous=True))
+    m, e = (v.item() for v in psi_py(n, np.array([x])))
+    pm, pe = (v.item() for v in psi_py(n - 1, np.array([x]))) if n else (0.0, 0)
     with mpmath.workdps(40):
         lead, back = mpmath.sqrt(2 * n) * mpmath.ldexp(pm, pe), x * mpmath.ldexp(m, e)
         exact = mpmath.diff(lambda t: _psi_mp(n, t), mpmath.mpf(x))

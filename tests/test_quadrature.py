@@ -1,4 +1,3 @@
-import logging
 import math
 
 import mpmath
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from qhotunnel import oscillator
 from qhotunnel import quadrature as quad
-from qhotunnel.oscillator import OscillatorMode, density_floats, march_tail
+from qhotunnel.oscillator import OscillatorMode, density_floats, two_prod
 from qhotunnel.quadrature import (
     NonConvergence,
     integrate_decaying,
@@ -18,6 +17,7 @@ from qhotunnel.quadrature import (
 )
 
 from ._oracles import FROZEN
+from ._p_reference import P_REFERENCE
 
 
 class TestIntegrateDecaying:
@@ -46,7 +46,7 @@ class TestIntegrateDecaying:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             integrate_decaying(lambda x: np.exp(-x), 0.0, 1e-2)
-        # below 1e-14 an oracle solve may march until its panel budget runs out
+        # below 1e-14 a smooth integrand may march until its panel budget runs out
         for tol in (1e-16, 5e-15, 1e-15):
             with pytest.raises(ValueError):
                 integrate_decaying(lambda x: np.exp(-x), 0.0, tol)
@@ -161,7 +161,6 @@ def _oracle_case(n):
 
 _DECAYING_CASES = {
     **{f"oracle n={n}": _oracle_case(n) for n in (0, 1, 10, 100, 800, 5200)},
-    "march n=5200": (march_tail(OscillatorMode(5200)).density, *_oracle_case(5200)[1:]),
     "exp(-x^2) from 1": (lambda x: np.exp(-x * x), 1.0, {}),
     "exp(-x) from 0": (lambda x: np.exp(-x), 0.0, {}),
     "scalar exp(-x^2)": (lambda x: math.exp(-x * x), 1.0, {}),
@@ -259,86 +258,52 @@ class TestLookAhead:
         assert integrate_decaying(f, 1.0, 1e-13) == integrate_decaying(lambda x: math.exp(-x * x), 1.0, 1e-13)
 
 
-def _count_routes(monkeypatch):
-    """Record the (order, size) of each grid-kernel call and the n of each march."""
-    kernel_calls, marches = [], []
-    kernel, march = oscillator.psi_scaled_grid, quad.march_tail
+class TestOracleRoute:
+    """The oracle is one tail=True kernel call at fl(nu), plus the sliver up to the turning point."""
 
-    def counted_kernel(order, xs, **kwargs):
-        kernel_calls.append((order, len(xs)))
-        return kernel(order, xs, **kwargs)
+    @pytest.mark.parametrize("n", [0, 10, 800, 999, 1000, 9800])
+    def test_one_tail_call_per_oracle_solve(self, n, monkeypatch):
+        calls = []
+        kernel = oscillator.psi_scaled_grid
 
-    def counted_march(mode):
-        marches.append(mode.n)
-        return march(mode)
+        def counted(order, xs, **kwargs):
+            calls.append((order, xs.tolist(), kwargs))
+            return kernel(order, xs, **kwargs)
 
-    monkeypatch.setattr(oscillator, "psi_scaled_grid", counted_kernel)
-    monkeypatch.setattr(quad, "march_tail", counted_march)
-    return kernel_calls, marches
-
-
-class TestRounds:
-    @pytest.mark.parametrize("n", [0, 10, 800, quad._MARCH_MIN_N - 1])
-    def test_one_kernel_call_per_oracle_solve(self, n, monkeypatch):
-        kernel_calls, marches = _count_routes(monkeypatch)
-        tunnel_probability_exact(OscillatorMode(n), 1e-13)
-        assert [order for order, _ in kernel_calls] == [n] and marches == []
-
-    @pytest.mark.parametrize("n", [quad._MARCH_MIN_N, 9800])
-    def test_one_march_and_one_kernel_call_per_oracle_solve(self, n, monkeypatch):
-        # one run gives psi_n and psi_{n-1} at fl(nu), which seed and check the march
-        kernel_calls, marches = _count_routes(monkeypatch)
-        tunnel_probability_exact(OscillatorMode(n), 1e-13)
-        assert kernel_calls == [(n, 1)] and marches == [n]
-
-    def test_one_round_logged_per_oracle_solve(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="qhotunnel.quadrature"):
-            tunnel_probability_exact(OscillatorMode(800), 1e-13)
-        rounds = [r for r in caplog.records if r.name == "qhotunnel.quadrature"]
-        assert [r.getMessage() for r in rounds] == ["quadrature round 0: 8 panels, 576 nodes in one call"]
-
-    def test_march_logs_on_the_oscillator_logger(self, caplog):
-        with caplog.at_level(logging.DEBUG):
-            tunnel_probability_exact(OscillatorMode(9800), 1e-13)
-        lines = [(r.name, r.getMessage().split(":")[0]) for r in caplog.records]
-        assert lines == [("qhotunnel.oscillator", "march n=9800"), ("qhotunnel.quadrature", "quadrature round 0")]
-
-
-class TestMarchOracle:
-    """From _MARCH_MIN_N on the oracle integrates the march; it must reproduce the kernel route."""
+        monkeypatch.setattr(oscillator, "psi_scaled_grid", counted)
+        mode = OscillatorMode(n)
+        tunnel_probability_exact(mode, 1e-13)
+        assert calls == [(n, [mode.nu], {"tail": True})]
 
     @pytest.mark.parametrize(
-        "n,bound", [(quad._MARCH_MIN_N, 1e-13), (2000, 1e-13), (5200, 1e-13), (9800, 1e-13), (10**5, 5e-13)]
+        "n,bound", [(0, 1e-15), (1, 1e-15), (10, 1e-14), (100, 1e-14), (800, 5e-14), (2000, 1e-13), (5200, 1e-13), (9800, 1e-13)]
     )
-    def test_agrees_with_the_kernel_route(self, n, bound):
+    def test_identity_agrees_with_quadrature_of_the_density(self, n, bound):
+        # quadrature of the grid kernel's density from fl(nu) is an independent second route
         mode = OscillatorMode(n)
-        march = integrate_decaying(march_tail(mode).density, mode.nu, 1e-13)
-        kernel = integrate_decaying(lambda xs: density_floats(mode, xs), mode.nu, 1e-13)
-        assert abs(march.value - kernel.value) <= bound * kernel.value
-        assert (march.panels_used, march.tail_cut) == (kernel.panels_used, kernel.tail_cut)
-        assert tunnel_probability_exact(mode, 1e-13) == 2.0 * march.value
+        r = integrate_decaying(lambda xs: density_floats(mode, xs), mode.nu, 1e-13, first_width=min(1.0, 10.0 / mode.nu))
+        p, perr = two_prod(mode.nu, mode.nu)
+        sliver = density_floats(mode, np.array([mode.nu]))[0] * ((p - (2 * n + 1)) + perr) / mode.nu
+        quadrature = 2.0 * r.value + sliver
+        assert abs(tunnel_probability_exact(mode, 1e-13) - quadrature) <= bound * quadrature
 
-    @pytest.mark.parametrize("n", [2000, 9800, 10**5, 10**6])
-    def test_log_derivative_meets_the_seed(self, n, caplog):
-        with caplog.at_level(logging.DEBUG, logger="qhotunnel.oscillator"):
-            march = march_tail(OscillatorMode(n))
-        assert march.seed_residual <= 1e-12
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "qhotunnel.oscillator"]
-        assert line.endswith(f"seed log-derivative residual {march.seed_residual:.2e}")
-
-    @pytest.mark.parametrize("n", [1000, 5200, 10**5])
-    def test_table_ends_where_the_bound_drops_the_density(self, n):
-        mode = OscillatorMode(n)
-        march = march_tail(mode)
-        edge = np.array([mode.nu, mode.nu + march.end])
-        # the kernel at the march's end: below 1e-40 of the density at the turning point
-        peak, tail = density_floats(mode, edge)
-        assert 0.0 < tail <= 1e-40 * peak
-        assert march.density(np.array([mode.nu + march.end, mode.nu + 2 * march.end, 1e3 * mode.nu])).tolist() == [0.0] * 3
-        assert march.density(edge[:1])[0] == pytest.approx(peak, rel=1e-13)
-
-    @pytest.mark.parametrize("offset", [math.nan, -1e-9, -1.0])
-    def test_density_rejects_x_before_the_table(self, offset):
-        march = march_tail(OscillatorMode(1000))
+    @pytest.mark.parametrize("tol", [1e-15, 1e-2, math.nan])
+    def test_tol_is_still_checked(self, tol):
         with pytest.raises(ValueError):
-            march.density(np.array([march.nu, march.nu + offset]))
+            tunnel_probability_exact(OscillatorMode(3), tol)
+
+
+class TestFrozenReference:
+    """The oracle against 40-digit P_n at the exact turning point (tests/_p_reference.py)."""
+
+    @pytest.mark.parametrize(
+        "n,bound",
+        [(n, 2e-14) for n in P_REFERENCE if n <= 800]
+        + [(n, 5e-14) for n in (2000, 5200, 9800)]
+        # measured -3.0e-13: the float sum carries about twice the kernel's rounding of psi_n here
+        + [(10**5, 5e-13)],
+    )
+    def test_oracle_within_its_measured_accuracy(self, n, bound):
+        ref = mpmath.mpf(P_REFERENCE[n])
+        p = tunnel_probability_exact(OscillatorMode(n), 1e-13)
+        assert abs(mpmath.mpf(p) / ref - 1) <= bound
