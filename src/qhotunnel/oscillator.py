@@ -105,9 +105,8 @@ def _seed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_length(x: np.ndarray) -> int:
     """Steps between rescalings, so no block drifts past 2^(+-450)."""
     xmax = float(np.max(np.abs(x), initial=0.0))
+    # at most log2(2 sqrt(2) (X_MAX + 1)) ~ 27.5 binary orders a step, so B >= 16
     growth = math.log2(2.0 * math.sqrt(2.0) * (xmax + 1.0))
-    if not growth < _BLOCK_LOG2_RANGE:  # also catches inf and nan
-        return 1
     return min(_MAX_BLOCK, int(_BLOCK_LOG2_RANGE // growth))
 
 
@@ -128,7 +127,7 @@ def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psi_scaled_grid(n: int, x: np.ndarray, *, tail: bool = False) -> tuple[np.ndarray, ...]:
-    """Scaled psi_n on a grid: (mantissa, exponent) arrays.
+    """Scaled psi_n on a grid: (mantissa, exponent) arrays, for every |x| <= X_MAX.
 
     mantissa is 0.0 exactly at zeros of psi_n, with exponent 0 there.  At
     subnormal x a power-of-two rescaling can round, so there the bits also
@@ -142,6 +141,10 @@ def psi_scaled_grid(n: int, x: np.ndarray, *, tail: bool = False) -> tuple[np.nd
     x = np.ascontiguousarray(x, dtype=np.float64)
     if tail and x.size != 1:
         raise ValueError(f"tail=True needs a one-point grid, got {x.size} points")
+    # on a one-point grid a float comparison, which costs less than an array reduction
+    in_range = abs(x.item()) <= X_MAX if x.size == 1 else np.all(np.abs(x) <= X_MAX)
+    if not in_range:  # also rejects nan
+        raise ValueError(f"psi_n(x) needs |x| <= 2^26, got max |x| = {np.max(np.abs(x))}")
     m, e = _seed(x)
     if x.size == 1:
         return _psi_scaled_point(n, x, m, e, tail)
@@ -316,13 +319,10 @@ def eval_psi_grid(mode: OscillatorMode, x: np.ndarray) -> tuple[np.ndarray, np.n
     and, for odd n, negated where x < 0.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    if not np.all(ax <= X_MAX):  # also rejects nan
-        raise ValueError(f"psi_n(x) needs |x| <= 2^26, got max |x| = {np.max(ax)}")
     negative = x < 0.0
     if not negative.any():
         return psi_scaled_grid(mode.n, x)
-    distinct, inverse = np.unique(ax, return_inverse=True)
+    distinct, inverse = np.unique(np.abs(x), return_inverse=True)
     m, e = psi_scaled_grid(mode.n, distinct)
     inverse = inverse.reshape(x.shape)
     m, e = m[inverse], e[inverse]

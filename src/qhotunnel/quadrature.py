@@ -1,20 +1,18 @@
 """Adaptive panel quadrature, and the exact tunnelling oracle.
 
-The integrators serve the acceptance gate's Ai^2 moments and its
-normalisation checks.  Strategy: 24-point Gauss-Legendre panels laid out
+The integrators serve the acceptance gate: its Ai^2 moments, the
+phi Ai^2 integrals of criterion 6 and the normalisation checks.  Strategy: 24-point Gauss-Legendre panels laid out
 with geometrically growing width in t = x - a; each panel is accepted
 only when it agrees with its two half-panels, otherwise it is bisected.
 The march stops when a panel's contribution is negligible and its two
 halves bound the remaining tail (Prekopa, 1973): rigorously where the
 tail is log-concave, heuristically otherwise.
 
-The march takes its panels in rounds of eight from one layout: one
-integrand call per round gives the whole and both halves of each of its
-panels, and the march then takes those panels in order.  What a round
-did not evaluate (the quarters of a bisected panel; every panel of a
-round whose call raised) is evaluated when the march reaches it.  Each
-sum is one dot over its own 24 nodes, so the result does not depend on
-which call formed it.
+The decaying march takes its panels one at a time from one layout: one
+integrand call gives a panel's whole and both halves, a bisected panel's
+quarters cost one call per bisection, and nothing past the stopping panel
+is evaluated.  Each sum is one dot over its own 24 nodes, so the result
+does not depend on which call formed it.
 
 The oracle, tunnel_probability_exact, integrates nothing: the tail mass
 beyond the turning point is a finite sum of positive terms that the
@@ -24,8 +22,6 @@ the asymptotic machinery.
 
 from __future__ import annotations
 
-import itertools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -45,9 +41,7 @@ _GROWTH = 1.6          # panel width ratio
 _MAX_WIDTH = 4.0
 _TAIL_FRACTION = 0.1   # panel/tail cutoff at tol/10, per contract
 _EST_SAFETY = 15.0     # accepted-panel error is well below |whole - halves|
-_LOOKAHEAD = 8         # panels per round; one round for n <= 1e5
 _PANEL_BUDGET = 100_000
-_log = logging.getLogger(__name__)
 
 
 class NonConvergence(RuntimeError):
@@ -126,25 +120,9 @@ def _layout(lo: float, width: float):
         lo, width = hi, min(width * _GROWTH, _MAX_WIDTH)
 
 
-def _round(fg, panels, index: int) -> list:
-    """One call for the (whole, left, right) sums of each panel.
-
-    Returns one sums list per panel, or None for every panel when the
-    call raises: f may fail ahead, where the march never goes.
-    """
-    segments = _panel_segments(panels)
-    _log.debug("quadrature round %d: %d panels, %d nodes in one call",
-               index, len(panels), len(segments) * _NODES.size)
-    try:
-        sums = _evaluate(fg, segments)
-    except Exception:
-        return [None] * len(panels)
-    return [sums[3 * i : 3 * i + 3] for i in range(len(panels))]
-
-
 class _Budget:
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
+        self.limit = _PANEL_BUDGET
         self.used = 0
 
     def spend(self) -> None:
@@ -175,7 +153,6 @@ def integrate_decaying(
     tol: float = 1e-13,
     *,
     first_width: float | None = None,
-    panel_budget: int = _PANEL_BUDGET,
 ) -> QuadratureResult:
     """Integral of f over [a, inf) for smooth f whose tail is eventually log-concave.
 
@@ -188,32 +165,29 @@ def integrate_decaying(
     if first_width is None:
         first_width = min(1.0, 10.0 / a) if a > 1.0 else 1.0
 
-    budget = _Budget(panel_budget)
+    budget = _Budget()
     total = 0.0
     err = 0.0
-    layout = _layout(a, first_width)
-    for index in itertools.count():
-        panels = list(itertools.islice(layout, _LOOKAHEAD))
-        for (lo, hi), sums in zip(panels, _round(fg, panels, index)):
-            sums = sums or _evaluate(fg, _panel_segments([(lo, hi)]))
-            scale = max(abs(total), 1.0)
-            leaf_tol = _TAIL_FRACTION * tol * scale / 20.0
-            value, perr = _refined(fg, lo, hi, sums, leaf_tol, budget)
-            total += value
-            err += perr
+    for lo, hi in _layout(a, first_width):
+        sums = _evaluate(fg, _panel_segments([(lo, hi)]))
+        scale = max(abs(total), 1.0)
+        leaf_tol = _TAIL_FRACTION * tol * scale / 20.0
+        value, perr = _refined(fg, lo, hi, sums, leaf_tol, budget)
+        total += value
+        err += perr
 
-            scale = max(abs(total), 1.0)
-            if abs(value) < _TAIL_FRACTION * tol * scale:
-                # candidate stop: for log-concave f, integrals over equal steps fall off geometrically
-                _, left, right = sums
-                if left == right == 0.0:
+        scale = max(abs(total), 1.0)
+        if abs(value) < _TAIL_FRACTION * tol * scale:
+            # candidate stop: for log-concave f, integrals over equal steps fall off geometrically
+            _, left, right = sums
+            if left == right == 0.0:
+                return QuadratureResult(total, err, budget.used, hi)
+            if 0.0 <= right < left:
+                ratio = right / left
+                tail_bound = right * ratio / (1.0 - ratio)
+                if tail_bound < _TAIL_FRACTION * tol * scale:
+                    err += tail_bound
                     return QuadratureResult(total, err, budget.used, hi)
-                if 0.0 <= right < left:
-                    ratio = right / left
-                    tail_bound = right * ratio / (1.0 - ratio)
-                    if tail_bound < _TAIL_FRACTION * tol * scale:
-                        err += tail_bound
-                        return QuadratureResult(total, err, budget.used, hi)
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-13) -> QuadratureResult:
@@ -221,7 +195,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-13) -> Qua
     _check_tol(tol)
     _check_bounds(a, b)
     fg = _grid_fn(f)
-    budget = _Budget(_PANEL_BUDGET)
+    budget = _Budget()
     nseg = 8
     edges = np.linspace(a, b, nseg + 1).tolist()
     panels = list(zip(edges[:-1], edges[1:]))

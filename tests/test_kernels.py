@@ -63,6 +63,17 @@ def test_negative_order_rejected(xs, tail):
         psi_py(-3, np.array(xs), tail=tail)
 
 
+@pytest.mark.parametrize("tail", [False, True])
+@pytest.mark.parametrize("x", [1e200, math.inf, -math.inf, math.nan])
+def test_x_outside_supported_range_rejected(x, tail):
+    # past X_MAX the seed exponent is no longer exact, and at inf or nan it is no integer at all
+    with pytest.raises(ValueError, match="needs"):
+        psi_py(3, np.array([x]), tail=tail)
+    if not tail:
+        with pytest.raises(ValueError, match="needs"):
+            psi_py(3, np.array([0.5, x]))
+
+
 @pytest.mark.parametrize("xs", [[1.0, 2.0], [[1.0], [2.0]]])
 def test_tail_needs_a_one_point_grid(xs):
     with pytest.raises(ValueError, match="one-point grid"):

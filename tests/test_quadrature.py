@@ -95,9 +95,21 @@ class TestIntegrateDecaying:
         assert abs(r.value - value) <= tol * max(abs(value), 1.0)
         assert exact(r.tail_cut) <= r.abs_error_estimate
 
-    def test_nonconvergence_on_budget(self):
+    def test_nonconvergence_on_budget(self, monkeypatch):
+        monkeypatch.setattr(quad, "_PANEL_BUDGET", 40)
         with pytest.raises(NonConvergence):
-            integrate_decaying(lambda x: 1.0 / (1.0 + x * x), 0.0, 1e-13, panel_budget=40)
+            integrate_decaying(lambda x: 1.0 / (1.0 + x * x), 0.0, 1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 800), st.floats(0.0, 1.0))
+    def test_density_tail_matches_the_identity(self, n, frac):
+        # the kernel's tail identity is an exact reference for the integral of psi_n^2 over [a, inf)
+        mode = OscillatorMode(n)
+        a = frac * (mode.nu + 3.0)
+        _, _, tm, te = oscillator.psi_scaled_grid(n, np.array([a]), tail=True)
+        exact = math.ldexp(tm.item(), te.item())
+        r = integrate_decaying(lambda xs: density_floats(mode, xs), a, 1e-12)
+        assert abs(r.value - exact) <= 1e-12 * max(abs(exact), 1.0)
 
     def test_tolerance_consistency(self):
         # halving tol never moves the result by more than the looser tol
@@ -154,13 +166,13 @@ class TestNormalisation:
         assert total == pytest.approx(1.0, abs=1e-11)
 
 
-def _oracle_case(n):
+def _density_case(n):
     mode = OscillatorMode(n)
     return (lambda xs: density_floats(mode, xs), mode.nu, {"first_width": min(1.0, 10.0 / mode.nu)})
 
 
 _DECAYING_CASES = {
-    **{f"oracle n={n}": _oracle_case(n) for n in (0, 1, 10, 100, 800, 5200)},
+    **{f"density n={n}": _density_case(n) for n in (0, 1, 10, 100, 800, 5200)},
     "exp(-x^2) from 1": (lambda x: np.exp(-x * x), 1.0, {}),
     "exp(-x) from 0": (lambda x: np.exp(-x), 0.0, {}),
     "scalar exp(-x^2)": (lambda x: math.exp(-x * x), 1.0, {}),
@@ -171,8 +183,8 @@ _DECAYING_CASES = {
 }
 
 
-def _depth_first(monkeypatch):
-    """A plain march: nothing is evaluated ahead, and each sum costs its own call."""
+def _one_call_per_sum(monkeypatch):
+    """Each sum from its own integrand call."""
 
     def one_at_a_time(fg, segments):
         sums = []
@@ -181,7 +193,6 @@ def _depth_first(monkeypatch):
             sums.append(half * float(quad._WEIGHTS @ fg(lo + half * (quad._NODES + 1.0))))
         return sums
 
-    monkeypatch.setattr(quad, "_round", lambda fg, panels, index: [None] * len(panels))
     monkeypatch.setattr(quad, "_evaluate", one_at_a_time)
 
 
@@ -190,26 +201,21 @@ def _counted(f):
     return calls, lambda xs: (calls.append(np.size(xs)), f(xs))[1]
 
 
-class TestLookAhead:
-    """Evaluating panels ahead changes which call computes a sum, never the result."""
+def _recorded(f):
+    nodes = []
+    return nodes, lambda xs: (nodes.extend(np.atleast_1d(xs).tolist()), f(xs))[1]
 
-    @pytest.mark.parametrize("case", list(_DECAYING_CASES))
-    def test_decaying_fields_equal(self, case, monkeypatch):
-        f, a, kwargs = _DECAYING_CASES[case]
-        new = integrate_decaying(f, a, 1e-13, **kwargs)
-        _depth_first(monkeypatch)
-        ref = integrate_decaying(f, a, 1e-13, **kwargs)
-        assert new.value == ref.value
-        assert new.abs_error_estimate == ref.abs_error_estimate
-        assert new.panels_used == ref.panels_used
-        assert new.tail_cut == ref.tail_cut
+
+class TestLookAhead:
+    """The march evaluates nothing past its stopping panel, and which call forms a sum never changes the result."""
 
     @pytest.mark.parametrize("n", [0, 1, 10, 100, 800])
     def test_finite_fields_equal(self, n, monkeypatch):
+        # integrate_finite forms its coarse sum and all 8 panels' sums in one call
         mode = OscillatorMode(n)
         f = lambda xs: density_floats(mode, xs)
         new = integrate_finite(f, 0.0, mode.nu, 1e-12)
-        _depth_first(monkeypatch)
+        _one_call_per_sum(monkeypatch)
         assert new == integrate_finite(f, 0.0, mode.nu, 1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 10, 100, 800])
@@ -221,33 +227,29 @@ class TestLookAhead:
         bisections = (r.panels_used - 8) // 2
         assert calls == [(1 + 8 * 3) * 24] + [4 * 24] * bisections
 
-    @pytest.mark.parametrize("case", ["oracle n=10", "oracle n=800", "exp(-x) from 0", "5 exp(-x/3), total 15"])
+    @pytest.mark.parametrize("case", ["density n=10", "density n=800", "exp(-x) from 0", "5 exp(-x/3), total 15"])
     def test_budget_parity(self, case, monkeypatch):
         f, a, kwargs = _DECAYING_CASES[case]
         used = integrate_decaying(f, a, 1e-13, **kwargs).panels_used
-        assert integrate_decaying(f, a, 1e-13, panel_budget=used, **kwargs).panels_used == used
-        with pytest.raises(NonConvergence):
-            integrate_decaying(f, a, 1e-13, panel_budget=used - 1, **kwargs)
-        _depth_first(monkeypatch)
+        monkeypatch.setattr(quad, "_PANEL_BUDGET", used)
         assert integrate_decaying(f, a, 1e-13, **kwargs).panels_used == used
+        monkeypatch.setattr(quad, "_PANEL_BUDGET", used - 1)
+        with pytest.raises(NonConvergence):
+            integrate_decaying(f, a, 1e-13, **kwargs)
 
-    @pytest.mark.parametrize("case", [c for c in _DECAYING_CASES if not c.startswith("scalar")])
-    def test_at_most_one_round_of_extra_nodes(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", list(_DECAYING_CASES))
+    def test_no_node_past_the_stopping_panel(self, case):
         f, a, kwargs = _DECAYING_CASES[case]
-        ahead, g = _counted(f)
-        integrate_decaying(g, a, 1e-13, **kwargs)
-        _depth_first(monkeypatch)
-        plain, g = _counted(f)
-        integrate_decaying(g, a, 1e-13, **kwargs)
-        assert len(ahead) <= len(plain)
-        assert sum(ahead) <= sum(plain) + quad._LOOKAHEAD * 3 * 24
+        nodes, g = _recorded(f)
+        r = integrate_decaying(g, a, 1e-13, **kwargs)
+        assert a < min(nodes) and max(nodes) < r.tail_cut
 
     def test_nan_past_the_stop_costs_nothing(self):
-        # the march stops at 10.16; the round reaches 26.16
         f = lambda x: np.exp(-x * x)
-        calls, g = _counted(lambda x: np.where(x < 10.5, f(x), np.nan))
-        assert integrate_decaying(g, 1.0, 1e-13) == integrate_decaying(f, 1.0, 1e-13)
-        assert calls == [quad._LOOKAHEAD * 3 * 24]
+        ref = integrate_decaying(f, 1.0, 1e-13)
+        nodes, g = _recorded(lambda x: np.where(x < ref.tail_cut, f(x), np.nan))
+        assert integrate_decaying(g, 1.0, 1e-13) == ref
+        assert max(nodes) < ref.tail_cut
 
     def test_failure_past_the_stop_is_not_raised(self):
         def f(x):
