@@ -143,9 +143,73 @@ def test_one_point_loop_matches_per_step_reference(n, xs):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 65, 100])
 @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310, -1e-310])
 def test_one_point_loop_matches_ufunc_loop_at_subnormal_x(n, x):
-    # the per-step reference overflows here; a two-point grid of the same x runs the ufunc steps
-    m, e = psi_py(n, np.array([x, x]))
+    # the per-step reference overflows here; _SCALAR_POINTS + 1 copies of x are too many
+    # for the float loop, so they run the ufunc steps
+    m, e = psi_py(n, np.full(oscillator._SCALAR_POINTS + 1, x))
     assert _point_bits(n, x) == (m[0], e[0])
+
+
+
+@pytest.mark.parametrize("n", [63, 65])
+def test_float_loop_takes_the_grid_block_length_at_subnormal_x(n):
+    # a rescaling rounds at subnormal x, so there the bits depend on the block
+    # length, which the grid's largest |x| sets, on either route
+    few = np.array([1e-310, oscillator.X_MAX])
+    many = np.concatenate([few, np.full(oscillator._SCALAR_POINTS, oscillator.X_MAX)])
+    m, e = psi_py(n, few)
+    mu, eu = psi_py(n, many)
+    assert (m[0], e[0]) == (mu[0], eu[0]) != _point_bits(n, 1e-310)
+
+def _route_grids():
+    """Grids of _SCALAR_POINTS and _SCALAR_POINTS + 1 points, on either side of the float loop's route."""
+    rng = np.random.default_rng(18)
+    for n in (0, 1, 64, 65, 800, 5000):
+        nu = math.sqrt(2 * n + 1)
+        for size in (oscillator._SCALAR_POINTS, oscillator._SCALAR_POINTS + 1):
+            for fixed in ([-0.0, nu, -nu], [-0.0, oscillator.X_MAX, -oscillator.X_MAX]):
+                xs = np.concatenate([fixed, rng.uniform(-nu - 15, nu + 15, size - len(fixed))])
+                yield n, xs
+                yield n, xs.reshape(-1, 1)
+        yield n, np.zeros((0, 3))
+
+
+@pytest.mark.parametrize("n,xs", list(_route_grids()))
+def test_grids_on_either_side_of_the_route_match_per_step_reference(n, xs):
+    m, e = psi_py(n, xs)
+    mr, er = psi_ref(n, xs)
+    assert m.shape == e.shape == xs.shape and e.dtype == np.int64
+    assert np.array_equal(m, mr) and np.array_equal(e, er)
+    with pytest.raises(ValueError, match="one-point grid"):
+        psi_py(n, xs, tail=True)
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, oscillator._SCALAR_POINTS, oscillator._SCALAR_POINTS + 1, 100])
+def test_only_grids_past_the_float_route_call_the_array_seed(monkeypatch, size):
+    sizes = []
+    seed = oscillator._seed
+
+    def counting(x):
+        sizes.append(x.size)
+        return seed(x)
+
+    monkeypatch.setattr(oscillator, "_seed", counting)
+    psi_py(7, np.linspace(0.5, 3.0, size))
+    assert sizes == ([size] if size > oscillator._SCALAR_POINTS else [])
+
+
+def test_float_seed_matches_array_seed():
+    # on x86-64 numpy builds with SVML about 5% of these x reach a fraction f where
+    # math.exp2(f) and 2.0**f round differently from np.exp2(f), so either in place
+    # of np.exp2 in the float seed fails here
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([
+        rng.uniform(-40.0, 40.0, 6000),
+        rng.uniform(-oscillator.X_MAX, oscillator.X_MAX, 2000),
+        10.0 ** rng.uniform(-323.0, 7.8, 2000),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, oscillator.X_MAX, -oscillator.X_MAX],
+    ])
+    m, e = oscillator._seed(xs)
+    assert [oscillator._seed_point(x) for x in xs.tolist()] == list(zip(m.tolist(), e.tolist()))
 
 
 def test_one_point_loop_keeps_the_grid_shape():
