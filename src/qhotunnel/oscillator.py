@@ -25,20 +25,24 @@ Power-of-two rescaling is exact, so the values equal those of a kernel
 that renormalises after every step, wherever that one stays finite; this
 one also stays finite for subnormal x.
 
-The step allocates nothing: the coefficients are computed once per call,
-and each step is four ufunc calls writing into two state arrays and one
-scratch array, with the roundings of (c1*x)*m - c2*pm in that order (no
-fused multiply-add, no reassociation).  This is the package's only
-kernel; there is no compiled twin.
+The step allocates nothing: the coefficients c1 and c2 do not depend on n,
+so they are built once per process, into one read-only table that grows to
+the largest n a call has needed (16 bytes per step), and each call takes
+prefix views of it.  Each step is four ufunc calls writing into two state
+arrays and one scratch array, with the roundings of (c1*x)*m - c2*pm in
+that order (no fused multiply-add, no reassociation).  This is the
+package's only kernel; there is no compiled twin.
 
-On a grid of at most _SCALAR_POINTS points the kernel runs the same
-steps, with the same roundings and rescaling points, in plain Python
-floats, one point at a time, where a step costs a fraction of a ufunc call
-and the set-up no array: the seed is _seed's sequence of operations on
-floats, and every point takes the grid's block length, so the values are
-the same bits, at subnormal x too (n = 400 on one point: about 0.075 ms,
-against 3 ms through the ufunc loop; n = 1580 on five points: 1.0-1.2 ms,
-against 3.9-6.6 ms).
+At a float x, and on a grid of at most _SCALAR_POINTS points, the kernel
+runs the same steps, with the same roundings and rescaling points, in
+plain Python floats, one point at a time, where a step costs a fraction of
+a ufunc call and the set-up no array: the seed is _seed's sequence of
+operations on floats, and every point takes the grid's block length, so
+the values are the same bits, at subnormal x too (n = 400 on one point:
+about 0.075 ms, against 3 ms through the ufunc loop; n = 1580 on five
+points: 1.0-1.2 ms, against 3.9-6.6 ms).  A float x goes in and Python
+floats and ints come out, with no grid or result array built (an oracle
+solve at n = 10: about 8 us, against 18 us through a one-point grid).
 With tail=True that loop also sums the tail mass by the ladder identity
 (DLMF §18.9)
 
@@ -136,14 +140,28 @@ def _block_length(xmax: float) -> int:
     return min(_MAX_BLOCK, int(_BLOCK_LOG2_RANGE // growth))
 
 
+# c1 and c2 do not depend on n: one read-only table serves every call and
+# grows, when a call needs more entries, to max(n, twice its size)
+_TABLE = (np.empty(0), np.empty(0))
+
+
 def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The recurrence's c1[k] = sqrt(2/(k+1)) and c2[k] = sqrt(k/(k+1)), for k < n."""
-    # IEEE division and sqrt round correctly, so these hold the same doubles
-    # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0)); the loops
-    # iterate memoryviews of them, which make each float as its step reads
-    # it, with no list to build
-    k = np.arange(n, dtype=np.float64)
-    return np.sqrt(2.0 / (k + 1.0)), np.sqrt(k / (k + 1.0))
+    """The recurrence's c1[k] = sqrt(2/(k+1)) and c2[k] = sqrt(k/(k+1)), for k < n.
+
+    Read-only prefix views of the process's table.
+    """
+    global _TABLE
+    c1, c2 = _TABLE
+    if n > c1.size:
+        # IEEE division and sqrt round correctly, so these hold the same doubles
+        # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0)), whatever the
+        # table's length; the loops iterate memoryviews of them, which make each
+        # float as its step reads it, with no list to build
+        k = np.arange(max(n, 2 * c1.size), dtype=np.float64)
+        c1, c2 = np.sqrt(2.0 / (k + 1.0)), np.sqrt(k / (k + 1.0))
+        c1.flags.writeable = c2.flags.writeable = False
+        _TABLE = c1, c2
+    return c1[:n], c2[:n]
 
 
 def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,20 +170,29 @@ def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, np.where(m == 0.0, 0, e + de).astype(np.int64)
 
 
-def psi_scaled_grid(n: int, x: np.ndarray, *, tail: bool = False) -> tuple[np.ndarray, ...]:
-    """Scaled psi_n on a grid: (mantissa, exponent) arrays, for every |x| <= X_MAX.
+def psi_scaled_grid(n: int, x: float | np.ndarray, *, tail: bool = False) -> tuple:
+    """Scaled psi_n at a float x or on a grid, for every |x| <= X_MAX.
 
-    mantissa is 0.0 exactly at zeros of psi_n, with exponent 0 there.  At
-    subnormal x a power-of-two rescaling can round, so there the bits also
-    depend on the grid's largest |x|, which sets the block length.  With
-    tail=True, on a one-point grid only, the call returns (m, e, tm, te),
-    where the last two are the tail mass int_x^inf psi_n^2 from the same
-    run, normalised the same way; psi_n keeps its bits.  A grid of at most
-    _SCALAR_POINTS points runs the steps in plain floats, one point at a
-    time, with the same bits.
+    At a float x (a Python float or a numpy float scalar) the call returns
+    plain Python values: (m, e), a float mantissa and an int exponent, with
+    no grid or result array built.  On a grid it returns (mantissa, exponent)
+    arrays of the grid's shape.  mantissa is 0.0 exactly at zeros of psi_n,
+    with exponent 0 there.  At subnormal x a power-of-two rescaling can
+    round, so there the bits also depend on the grid's largest |x|, which
+    sets the block length.  With tail=True, at a float x or on a one-point
+    grid only, the call returns (m, e, tm, te), where the last two are the
+    tail mass int_x^inf psi_n^2 from the same run, normalised the same way;
+    psi_n keeps its bits.  A float x and a grid of at most _SCALAR_POINTS
+    points run the steps in plain floats, one point at a time; a float x
+    gives the bits of the one-point grid [x].
     """
     if n < 0:
         raise ValueError(f"quantum number must be >= 0, got {n}")
+    if isinstance(x, float):
+        x = float(x)  # a numpy scalar would carry numpy arithmetic into the loop
+        if not abs(x) <= X_MAX:  # also rejects nan
+            raise ValueError(f"psi_n(x) needs |x| <= 2^26, got |x| = {abs(x)}")
+        return _psi_scaled_point(n, x, _block_length(abs(x)), *_coefficients(n), tail)
     x = np.ascontiguousarray(x, dtype=np.float64)
     if tail and x.size != 1:
         raise ValueError(f"tail=True needs a one-point grid, got {x.size} points")
@@ -336,9 +363,9 @@ def rel_diff(a: ScaledValue, b: ScaledValue) -> float:
 
 
 def eval_psi(mode: OscillatorMode, x: float) -> ScaledValue:
-    """psi_n(x) as a ScaledValue, for |x| <= X_MAX."""
-    m, e = eval_psi_grid(mode, np.array([x], dtype=np.float64))
-    return ScaledValue(float(m[0]), int(e[0]))
+    """psi_n(x) as a ScaledValue, for |x| <= X_MAX: the bits of eval_psi_grid at [x]."""
+    # no parity fold: the kernel's arithmetic is odd in x bit for bit (see eval_psi_grid)
+    return ScaledValue(*psi_scaled_grid(mode.n, float(x)))
 
 
 def eval_density(mode: OscillatorMode, x: float) -> ScaledValue:

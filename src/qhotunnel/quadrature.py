@@ -216,15 +216,15 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-13) -> Qua
 def tunnel_probability_exact(mode: OscillatorMode, tol: float = 1e-13) -> float:
     """P_tun for state n: twice the density integral beyond the turning point.
 
-    One one-point kernel call at fl(nu) gives psi_n there and the tail
-    mass beyond it, as erfc plus n positive terms; the sliver between the
-    turning point sqrt(2n+1) and fl(nu) is added to first order.  The
-    kernel's rounding, not tol, sets the accuracy: tol is checked as for
-    the integrators, and is otherwise unused.
+    One kernel call at the float fl(nu) gives psi_n there and the tail
+    mass beyond it, as erfc plus n positive terms, in plain floats; the
+    sliver between the turning point sqrt(2n+1) and fl(nu) is added to
+    first order.  The kernel's rounding, not tol, sets the accuracy: tol
+    is checked as for the integrators, and is otherwise unused.
     """
     _check_tol(tol)
     n, nu = mode.n, mode.nu
-    m, e, tm, te = (v.item() for v in oscillator.psi_scaled_grid(n, np.array([nu]), tail=True))
+    m, e, tm, te = oscillator.psi_scaled_grid(n, nu, tail=True)
     p, perr = two_prod(nu, nu)
     r = (p - (2 * n + 1)) + perr  # fl(nu)^2 - (2n+1); p - (2n+1) is exact (Sterbenz)
     # 2 int_nu^fl(nu) psi_n^2 = 2 psi_n^2 (fl(nu) - nu), and fl(nu) - nu = r / (2 fl(nu))

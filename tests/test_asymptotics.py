@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from qhotunnel.quadrature import integrate_decaying
 from qhotunnel.specialfn import airy, gamma
 
 from ._oracles import FROZEN
+from ._p_reference import P_REFERENCE
 from .conftest import REFERENCE_TABLE
 
 
@@ -404,6 +406,33 @@ class TestTunnelProbabilityAsym:
             tunnel_probability_asym(OscillatorMode(0), "eq42")
         with pytest.raises(ValueError):
             tunnel_probability_asym(OscillatorMode(5), "eq43")
+
+
+class TestEq42AgainstFrozenReference:
+    """eq42 against 40-digit P_n (tests/_p_reference.py): its truncation error, pinned to 1%."""
+
+    # (eq42 - P_n) / P_n, measured against the frozen file
+    TRUNCATION = {
+        1: -5.151e-5, 2: -2.670e-4, 7: -2.952e-5, 10: -1.323e-5, 20: -2.528e-6, 50: -2.534e-7,
+        100: -4.250e-8, 200: -6.975e-9, 400: -1.130e-9, 500: -6.276e-10, 800: -1.815e-10,
+        2000: -1.605e-11, 5200: -1.271e-12, 9800: -2.355e-13,
+    }
+
+    @pytest.mark.parametrize("n", sorted(TRUNCATION))
+    def test_truncation_error(self, n):
+        got = tunnel_probability_asym(OscillatorMode(n), "eq42").value
+        with mpmath.workdps(40):
+            err = float(mpmath.mpf(got) / mpmath.mpf(P_REFERENCE[n]) - 1)
+        assert abs(err - self.TRUNCATION[n]) <= 0.01 * abs(self.TRUNCATION[n])
+
+    def test_within_a_few_ulps_at_large_n(self):
+        # measured -8e-18 at n = 10^5, below the rounding of a double
+        got = tunnel_probability_asym(OscillatorMode(10**5), "eq42").value
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(got) / mpmath.mpf(P_REFERENCE[10**5]) - 1) <= 2.0**-51
+
+    def test_every_frozen_n_is_pinned(self):
+        assert set(self.TRUNCATION) | {0, 10**5} == set(P_REFERENCE)
 
 
 class TestRelativeErrorTable:

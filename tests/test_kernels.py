@@ -219,6 +219,86 @@ def test_one_point_loop_keeps_the_grid_shape():
     assert (m[0, 0], e[0, 0]) == _point_bits(40, 3.0)
 
 
+def _hex(values):
+    """Floats as float.hex, so that -0.0 and 0.0 differ; ints as they are."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _float_route_orders():
+    """82 distinct orders up to 20000, drawn log-uniform, with 0, 1, 64, 65 and 20000."""
+    rng = np.random.default_rng(19)
+    drawn = np.unique(np.floor(10.0 ** rng.uniform(0.0, math.log10(20000.0), 95)).astype(int))
+    return sorted({0, 1, 64, 65, 20000, *drawn.tolist()})
+
+
+@pytest.mark.parametrize("n", _float_route_orders())
+def test_float_x_gives_the_bits_of_the_one_point_grid(n):
+    # 13 points at each of 82 orders, 1066 cases; the float route returns Python values
+    nu = math.sqrt(2 * n + 1)
+    xs = [0.0, -0.0, 5e-324, -1e-310, nu, -nu, 1.3 * nu, -1.3 * nu, oscillator.X_MAX, -oscillator.X_MAX]
+    xs += [np.float64(np.random.default_rng(n).uniform(-nu - 5.0, nu + 5.0)), 2.5, -2.5]
+    for x in xs:
+        grid = psi_py(n, np.array([x]))
+        got = psi_py(n, x)
+        assert [type(v) for v in got] == [float, int]
+        assert _hex(got) == _hex(v.item() for v in grid)
+        grid = psi_py(n, np.array([x]), tail=True)
+        got = psi_py(n, x, tail=True)
+        assert [type(v) for v in got] == [float, int, float, int]
+        assert _hex(got) == _hex(v.item() for v in grid)
+
+
+@pytest.mark.parametrize("tail", [False, True])
+@pytest.mark.parametrize("x", [1e200, -1e200, math.inf, -math.inf, math.nan, np.float64(math.nan)])
+def test_float_x_outside_supported_range_rejected(x, tail):
+    with pytest.raises(ValueError, match="needs"):
+        psi_py(3, x, tail=tail)
+
+
+def test_float_x_with_negative_order_rejected():
+    with pytest.raises(ValueError, match="quantum number"):
+        psi_py(-1, 1.0, tail=True)
+
+
+def _fresh_coefficients(n):
+    k = np.arange(n, dtype=np.float64)
+    return np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
+
+
+_TABLE_ORDERS = sorted({0, 1, 2, *(2**k for k in range(1, 17)), *(2**k + 1 for k in range(1, 17))})
+
+
+@pytest.mark.parametrize("orders", [_TABLE_ORDERS, _TABLE_ORDERS[::-1]], ids=["ascending", "descending"])
+def test_coefficient_table_holds_fresh_values_across_growth(monkeypatch, orders):
+    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0), np.empty(0)))
+    for n in orders:
+        size = oscillator._TABLE[0].size
+        c1, c2 = oscillator._coefficients(n)
+        f1, f2 = _fresh_coefficients(n)
+        assert c1.view(np.int64).tolist() == f1.view(np.int64).tolist()
+        assert c2.view(np.int64).tolist() == f2.view(np.int64).tolist()
+        # the table grows only when a call needs more entries, to max(n, twice its size)
+        assert oscillator._TABLE[0].size == (max(n, 2 * size) if n > size else size)
+
+
+def test_smaller_request_shares_the_table(monkeypatch):
+    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0), np.empty(0)))
+    oscillator._coefficients(1000)
+    table = oscillator._TABLE
+    c1, c2 = oscillator._coefficients(10)
+    assert oscillator._TABLE is table
+    assert np.shares_memory(c1, table[0]) and np.shares_memory(c2, table[1])
+    assert c1.size == c2.size == 10
+
+
+def test_coefficient_table_is_read_only():
+    c1, c2 = oscillator._coefficients(50)
+    for c in (c1, c2, *oscillator._TABLE):
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 1.0
+    assert c1[0] == math.sqrt(2.0) and c2[0] == 0.0
+
+
 @pytest.mark.parametrize("n", [2, 3, 100])
 @pytest.mark.parametrize("x", [5e-324, 1e-310])
 def test_subnormal_x_is_finite_and_normalized(n, x):

@@ -115,6 +115,31 @@ class TestEvalPsi:
             assert got.exponent == int(mpmath.floor(log2_ref)) + 1
             assert float(mpmath.log(-got.mantissa, 2) + got.exponent - log2_ref) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_point_equals_one_point_grid_bit_for_bit(self, seed):
+        # eval_psi runs the kernel at x itself, with no parity fold; the grid folds x < 0
+        rng = random.Random(seed)
+        for n in [rng.randrange(2001) for _ in range(6)]:
+            mode = OscillatorMode(n)
+            x = rng.uniform(0.0, mode.nu + 10.0)
+            for v in (x, -x, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, mode.nu, -mode.nu, 2.0**26, -(2.0**26)):
+                m, e = eval_psi_grid(mode, np.array([v]))
+                got = eval_psi(mode, v)
+                assert (got.mantissa.hex(), got.exponent) == (m[0].item().hex(), e[0].item())
+                want = ScaledValue(m[0].item(), e[0].item()).square()
+                got = eval_density(mode, v)
+                assert (got.mantissa.hex(), got.exponent) == (want.mantissa.hex(), want.exponent)
+
+    @pytest.mark.parametrize(
+        "x,error",
+        [(10**400, OverflowError), (-(10**400), OverflowError), (10**20, ValueError),
+         (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError)],
+    )
+    def test_point_rejects_huge_ints_and_non_finite_x(self, x, error):
+        for fn in (eval_psi, eval_density):
+            with pytest.raises(error):
+                fn(OscillatorMode(4), x)
+
     def test_ground_state_at_origin(self):
         v = eval_psi(OscillatorMode(0), 0.0)
         assert float(v) == pytest.approx(FROZEN["pi_quarter_inv"], rel=1e-15)

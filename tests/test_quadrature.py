@@ -268,14 +268,15 @@ class TestOracleRoute:
         calls = []
         kernel = oscillator.psi_scaled_grid
 
-        def counted(order, xs, **kwargs):
-            calls.append((order, xs.tolist(), kwargs))
-            return kernel(order, xs, **kwargs)
+        def counted(order, x, **kwargs):
+            calls.append((order, x, kwargs))
+            return kernel(order, x, **kwargs)
 
         monkeypatch.setattr(oscillator, "psi_scaled_grid", counted)
         mode = OscillatorMode(n)
         tunnel_probability_exact(mode, 1e-13)
-        assert calls == [(n, [mode.nu], {"tail": True})]
+        assert calls == [(n, mode.nu, {"tail": True})]
+        assert type(calls[0][1]) is float  # the kernel's float route, with no array built
 
     @pytest.mark.parametrize(
         "n,bound", [(0, 1e-15), (1, 1e-15), (10, 1e-14), (100, 1e-14), (800, 5e-14), (2000, 1e-13), (5200, 1e-13), (9800, 1e-13)]
