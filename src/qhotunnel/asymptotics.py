@@ -139,11 +139,23 @@ def _coefficient_functions(p: ZetaPoint) -> tuple[float, float, float]:
     x = p.x
     x2 = x * x
     w2 = (x - 1.0) * (x + 1.0)
+    z32 = zeta**1.5
     try:
         w3, w6 = w2**1.5, w2**3
-    except OverflowError:  # from x ~ 1.3e51 on
-        raise DomainError(f"the coefficient functions overflow a double at x = {x}") from None
-    z32 = zeta**1.5
+    except OverflowError:
+        # from x ~ 1.3e51 on w2^3 overflows: the same forms with numerator and
+        # denominator divided by x^6 (x^3 where the numerator is x (x^2 - 6)),
+        # finite up to the map's own limit, where x^2 overflows
+        y = 1.0 / x2
+        v = w2 * y  # (x^2 - 1) / x^2
+        v3 = v**1.5
+        b = -0.5 / math.sqrt(zeta) * ((1.0 - 6.0 * y) / (12.0 * v3) + 5.0 / (24.0 * z32))
+        a = (
+            (145.0 * y * y + 249.0 * y - 9.0) * y / v**3
+            - 7.0 * (1.0 - 6.0 * y) / (v3 * z32)
+            - 455.0 / (4.0 * z32 * z32)
+        ) / 1152.0
+        return zeta / w2, b, a
     b = -0.5 / math.sqrt(zeta) * (x * (x2 - 6.0) / (12.0 * w3) + 5.0 / (24.0 * z32))
     a = (
         (145.0 + 249.0 * x2 - 9.0 * x2 * x2) / w6

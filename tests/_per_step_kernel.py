@@ -6,6 +6,9 @@ package kernel renormalises only once per block; power-of-two rescaling
 is exact, so the two must agree bit for bit wherever this one is finite.
 This one overflows for subnormal x (|x| below about 2^-1022, n >= 2),
 where ``ldexp(pm, pe - e)`` is asked for a shift beyond the double range.
+
+tail_point is the one-point loop with the tail identity summed over all
+n terms, the reference for the kernel's sum over the turning-point layer.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from qhotunnel.oscillator import _seed
+from qhotunnel.oscillator import _block_length, _half_erfc, _seed, _seed_point
 
 
 def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,3 +42,35 @@ def psi_scaled_grid(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e = np.where(r == 0.0, e, e + de)
     e = np.where(m == 0.0, 0, e)
     return m, e.astype(np.int64)
+
+
+def tail_point(n: int, x: float) -> tuple[float, int, float, int]:
+    """psi_n and its tail mass int_x^inf psi_n^2 at a float x, summing every term.
+
+    The one-point loop with all n terms of the tail identity added, from
+    step 0 on, each in the block loop's scale; (m, e, tm, te) as
+    ``psi_scaled_grid(n, x, tail=True)`` returns them.
+    """
+    m0, e0 = _seed_point(x)
+    mf, ef, pm, s = m0, e0, 0.0, 0.0
+    block = _block_length(abs(x))
+    for k0 in range(0, n, block):
+        for k in range(k0, min(k0 + block, n)):
+            u = x * math.sqrt(2.0 / (k + 1)) * mf
+            mf, pm = u - pm * math.sqrt(k / (k + 1.0)), mf
+            s += u * mf
+        _, sh = math.frexp(max(abs(mf), abs(pm)))
+        ef += sh
+        mf, pm, s = math.ldexp(mf, -sh), math.ldexp(pm, -sh), math.ldexp(s, -2 * sh)
+    terms = s / (2.0 * x) if x else 0.0
+    v, k = _half_erfc(x, m0, e0)
+    if k > 2 * ef:
+        tm, te = v + math.ldexp(terms, 2 * ef - k), k
+    else:
+        tm, te = terms + math.ldexp(v, k - 2 * ef), 2 * ef
+    return (*_normalized(mf, ef), *_normalized(tm, te))
+
+
+def _normalized(v: float, e: int) -> tuple[float, int]:
+    m, de = math.frexp(v)
+    return m, e + de if m else 0

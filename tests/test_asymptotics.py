@@ -19,7 +19,7 @@ from qhotunnel.asymptotics import (
     x_of_zeta,
     zeta_of_x,
 )
-from qhotunnel.oscillator import OscillatorMode, eval_psi, rel_diff
+from qhotunnel.oscillator import OscillatorMode, ScaledValue, eval_psi, rel_diff
 from qhotunnel.quadrature import integrate_decaying
 from qhotunnel.specialfn import airy, gamma
 
@@ -131,6 +131,21 @@ class TestInverseMap:
             x_of_zeta(zeta)
 
 
+def _closed_forms_mp(x):
+    """zeta, phi, b0 and a1 at x > 1 by their closed forms in x, in mpmath's working precision."""
+    xm = mpmath.mpf(x)
+    w2 = xm * xm - 1
+    z32 = mpmath.mpf(3) / 4 * (xm * mpmath.sqrt(w2) - mpmath.acosh(xm))
+    zeta = z32 ** (mpmath.mpf(2) / 3)
+    return (
+        zeta,
+        zeta / w2,
+        -(xm * (xm * xm - 6) / (12 * w2**1.5) + 5 / (24 * z32)) / (2 * mpmath.sqrt(zeta)),
+        ((145 + 249 * xm**2 - 9 * xm**4) / w2**3 - 7 * xm * (xm * xm - 6) / (w2**1.5 * z32)
+         - 455 / (4 * z32**2)) / 1152,
+    )
+
+
 class TestCoefficientFunctions:
     def test_values_at_zero(self):
         assert phi(0.0) == pytest.approx(2.0 ** (-2.0 / 3.0), rel=1e-14)
@@ -163,25 +178,24 @@ class TestCoefficientFunctions:
     )
     def test_evaluator_against_mpmath(self, x):
         # phi, b0, a1 at zeta_of_x(x) against their closed forms in x at 50 digits
-        import mpmath
-        from mpmath import mpf
-
         from qhotunnel.asymptotics import _coefficient_functions
 
         got = _coefficient_functions(zeta_of_x(x))
         with mpmath.workdps(50):
-            xm = mpf(x)
-            w2 = xm * xm - 1
-            z32 = mpf(3) / 4 * (xm * mpmath.sqrt(w2) - mpmath.acosh(xm))
-            zeta = z32 ** (mpf(2) / 3)
-            ref = (
-                zeta / w2,
-                -(xm * (xm * xm - 6) / (12 * w2**1.5) + 5 / (24 * z32)) / (2 * mpmath.sqrt(zeta)),
-                ((145 + 249 * xm**2 - 9 * xm**4) / w2**3 - 7 * xm * (xm * xm - 6) / (w2**1.5 * z32)
-                 - 455 / (4 * z32**2)) / 1152,
-            )
+            _, *ref = _closed_forms_mp(x)
             errors = [float(abs(g / r - 1)) for g, r in zip(got, ref)]
         assert all(e <= bound for e, bound in zip(errors, (1e-14, 1e-12, 1e-10))), errors
+
+    @pytest.mark.parametrize("x", [1e60, 1e150])
+    def test_closed_forms_hold_past_the_cube_overflow(self, x):
+        # (x^2 - 1)^3 overflows from x ~ 1.3e51; the forms divided through by x^6
+        # are finite up to the map's limit.  At the double nearest zeta(x): the
+        # map's own rounding of zeta grows with ln x (1e-14 at 1e60)
+        with mpmath.workdps(50):
+            zeta, *ref = _closed_forms_mp(x)
+            got = phi(float(zeta)), b0(float(zeta)), a1(float(zeta))
+            errors = [float(abs(g / r - 1)) for g, r in zip(got, ref)]
+        assert max(errors) <= 1e-15, errors
 
     def test_phi_bounded(self):
         bound = 2.0 ** (-2.0 / 3.0)
@@ -241,11 +255,18 @@ class TestUniformApprox:
         with pytest.raises(DomainError):
             uniform_psi_approx(OscillatorMode(10), 0.99)
 
-    @pytest.mark.parametrize("x_scaled", [1e60, 1e150, 1e300, math.inf])
+    @pytest.mark.parametrize("x_scaled", [1e300, math.inf])
     def test_overflowing_point_raises_domain_error(self, x_scaled):
-        # (x^2 - 1)^3 overflows from x of about 1.3e51, x^2 from about 1.3e154
+        # x^2 overflows from x of about 1.3e154
         with pytest.raises(DomainError, match="overflow"):
             uniform_psi_approx(OscillatorMode(10), x_scaled)
+
+    @pytest.mark.parametrize("x_scaled", [1e60, 1e150])
+    def test_point_past_the_cube_overflow_is_normalized(self, x_scaled):
+        # (x^2 - 1)^3 overflows from x of about 1.3e51, inside the map's range
+        v = uniform_psi_approx(OscillatorMode(10), x_scaled)
+        assert isinstance(v, ScaledValue) and v.is_normalized and 0.0 < v.mantissa < 1.0
+        assert v.exponent < -10**100  # psi_10 at 10^60 nu: e^(-x^2/2) is far past any double
 
     # ln[2^((n+1)/2) sqrt(n!) e^(n/2+1/4) / (pi^(1/4) nu^(n+2/3))], nu^2 = 2n + 1,
     # from mpmath at 200 digits, rounded to 50

@@ -12,6 +12,7 @@ from qhotunnel.oscillator import psi_scaled_grid as psi_py
 from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid
 
 from ._per_step_kernel import psi_scaled_grid as psi_ref
+from ._per_step_kernel import tail_point
 
 
 def test_backend_reported():
@@ -394,3 +395,87 @@ def test_recurrence_identity_gives_the_derivative(case):
         exact = mpmath.diff(lambda t: _psi_mp(n, t), mpmath.mpf(x))
         scale = abs(lead) + (abs(x) + 1.0) * abs(mpmath.ldexp(m, e))
         assert abs((lead - back) - exact) <= 5e-14 * scale
+
+
+def _around_sqrt_2n(n):
+    """The largest float x with x*x < 2n and the smallest x > 0 with x*x >= 2n, as the kernel rounds x*x.
+
+    At n = 0 there is no such largest x, and the smallest is the least subnormal.
+    """
+    if n == 0:
+        return None, 5e-324
+    x = math.sqrt(2 * n)
+    while x * x >= 2 * n:
+        x = math.nextafter(x, 0.0)
+    while x * x < 2 * n:
+        below, x = x, math.nextafter(x, math.inf)
+    return below, x
+
+
+def _window_points(n):
+    nu = math.sqrt(2 * n + 1)
+    return nu, 1.3 * nu, _around_sqrt_2n(n)[1]
+
+
+def _window_orders():
+    """0..1199, 200 random n up to 30000, and 10^5, in chunks of about equal cost."""
+    rng = np.random.default_rng(20)
+    drawn = sorted(rng.integers(1200, 30001, 200).tolist())
+    yield from (range(lo, lo + 200) for lo in range(0, 1200, 200))
+    yield from (drawn[i : i + 25] for i in range(0, 200, 25))
+    yield [10**5]
+
+
+@pytest.mark.parametrize("orders", list(_window_orders()), ids=lambda o: f"{o[0]}-{o[-1]}")
+def test_tail_window_gives_the_bits_of_the_full_sum(orders):
+    # at x >= sqrt(2n) the loop sums the tail from the turning-point layer on,
+    # and psi_n and the tail mass keep the bits of the sum over every term
+    for n in orders:
+        for x in _window_points(n):
+            assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), (n, x)
+
+
+def _counting_reruns(monkeypatch):
+    """Record the arguments past tail of every _psi_scaled_point call: () for a call, (0,) for a rerun."""
+    calls = []
+    point = oscillator._psi_scaled_point
+
+    def counting(*args):
+        calls.append(args[6:])
+        return point(*args)
+
+    monkeypatch.setattr(oscillator, "_psi_scaled_point", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [150, 800, 5200])
+def test_tail_falls_back_to_the_full_sum_when_the_window_is_too_narrow(monkeypatch, n):
+    # at the turning point a window of 0.02 x^(2/3) steps, the last block or
+    # less, leaves out terms that reach the sum; the check sees it and the
+    # loop reruns from step 0
+    monkeypatch.setattr(oscillator, "_WINDOW", 0.02)
+    calls = _counting_reruns(monkeypatch)
+    nu, _, above = _window_points(n)
+    for x in (nu, above):
+        calls.clear()
+        assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), x
+        assert calls == [(), (0,)], x
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 800, 5200, 30000])
+def test_tail_window_is_predicted_only_at_x_from_sqrt_2n(monkeypatch, n):
+    # with a window too narrow to hold the sum, every predicted start past
+    # step 0 reruns; the points below sqrt(2n) and those at or below 0 sum
+    # from step 0 and have nothing to check
+    monkeypatch.setattr(oscillator, "_WINDOW", 0.02)
+    calls = _counting_reruns(monkeypatch)
+    below, above = _around_sqrt_2n(n)
+    xs = [below, 0.0, -0.0, -math.sqrt(2 * n + 1), -30.0, 5e-324, 1e-310, -5e-324]
+    for x in [x for x in xs if x is not None]:
+        calls.clear()
+        assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), x
+        assert calls == [()], x
+    calls.clear()
+    assert _hex(psi_py(n, above, tail=True)) == _hex(tail_point(n, above))
+    # below the first full block the window holds step 0
+    assert calls == ([(), (0,)] if n >= 64 else [()])
