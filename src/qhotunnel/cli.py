@@ -10,6 +10,9 @@ validate   pointwise sweep of the uniform wavefunction approximation
 
 exact, table and validate cost O(n) per request and take n <= 10^6.
 
+Each request writes its report to stdout in one write, once every line of it
+is known, so a request that exits 2 writes nothing to stdout.
+
 Exit codes: 0 success, 2 bad flags or an argument outside the supported
 domain.
 """
@@ -34,7 +37,8 @@ from .oscillator import eval_psi  # noqa: F401
 # --which -> the series family whose derive_<family>_series prints it
 _COEFF_FAMILIES = {"alpha": "phi", "beta": "beta", "a1": "a1", "inversion": "inversion"}
 _VALIDATE_XS = (1.0, 1.1, 1.5, 2.0, 3.0)
-# the largest n measured: exact 0.45 s end to end, validate 3 s on the grid kernel
+# the largest n measured: from launch, exact about 0.35-0.4 s and validate, whose
+# five points take the float loop, 0.75-1 s (medians of 5 on one core)
 _MAX_N = 10**6
 
 
@@ -89,35 +93,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_supported(ns) -> None:
-    """Reject the whole request before any output when an n is invalid or past _MAX_N."""
+    """Reject the whole request before any O(n) work when an n is invalid or past _MAX_N."""
     for n in ns:
         OscillatorMode(n)
         if n > _MAX_N:
             raise ValueError(f"n = {n} is outside the supported range n <= 10^6")
 
 
-def _run_exact(args) -> int:
+def _run_exact(args) -> list[str]:
     _check_supported(args.n)
-    for n in args.n:
-        p = quadrature.tunnel_probability_exact(OscillatorMode(n))
-        print(f"{n} {_fmt10(p)}")
-    return 0
+    return [f"{n} {_fmt10(quadrature.tunnel_probability_exact(OscillatorMode(n)))}" for n in args.n]
 
 
-def _run_asym(args) -> int:
+def _run_asym(args) -> list[str]:
+    lines = []
     for n in args.n:
         r = asymptotics.tunnel_probability_asym(OscillatorMode(n), args.form)
-        print(f"n={n} form={args.form}")
-        for label, v in r.terms:
-            print(f"  {label:<12} {v:+.10e}")
-        print(f"  total        {r.value:+.10e}")
-        print(f"  last-term    {r.last_term_estimate:.4e}")
-    return 0
+        lines.append(f"n={n} form={args.form}")
+        # %-formatting: the same text as the format specs, at about half the cost a line
+        lines += ["  %-12s %+.10e" % (label, v) for label, v in r.terms]
+        lines.append("  total        %+.10e" % r.value)
+        lines.append("  last-term    %.4e" % r.last_term_estimate)
+    return lines
 
 
-def _run_table(args) -> int:
+def _run_table(args) -> list[str]:
     _check_supported(args.ns)
-    # opened before any row is computed, so an unwritable path prints nothing
+    # opened before any row is computed, so an unwritable path costs no row
     try:
         sink = open(args.csv, "w", newline="") if args.csv else io.StringIO()
     except OSError as exc:
@@ -127,23 +129,21 @@ def _run_table(args) -> int:
             (str(r.n), _fmt10(r.p_exact), _fmt10(r.p_asym), _fmt_err(r.rel_error))
             for r in asymptotics.relative_error_table(args.ns, form=args.form)
         ]
-        for fields in rows:
-            print(",".join(fields))
         csv.writer(sink).writerows(rows)
-    return 0
+    return [",".join(fields) for fields in rows]
 
 
-def _run_coeffs(args) -> int:
+def _run_coeffs(args) -> list[str]:
     s = getattr(series, f"derive_{_COEFF_FAMILIES[args.which]}_series")(args.order)
     exact = [series.format_coefficient(c) for c in s.coeffs]
-    print(", ".join(exact))
-    for k, c in enumerate(s.coeffs):
-        print(f"  [{k}] {series.format_coefficient(c):<28} {c.to_float():+.12e}")
-    return 0
+    return [", ".join(exact)] + [
+        "  [%d] %-28s %+.12e" % (k, text, c.to_float()) for k, (text, c) in enumerate(zip(exact, s.coeffs))
+    ]
 
 
-def _run_validate(args) -> int:
+def _run_validate(args) -> list[str]:
     _check_supported(args.ns)
+    lines = []
     for n in args.ns:
         mode = OscillatorMode(n)
         m, e = oscillator.eval_psi_grid(mode, np.array(_VALIDATE_XS) * mode.nu)
@@ -154,8 +154,8 @@ def _run_validate(args) -> int:
                 ScaledValue(float(mk), int(ek)),
             )
             worst = max(worst, d)
-        print(f"n={n} max_rel_deviation={worst:.4e}")
-    return 0
+        lines.append(f"n={n} max_rel_deviation={worst:.4e}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -168,10 +168,12 @@ def main(argv=None) -> int:
         "validate": _run_validate,
     }
     try:
-        return handlers[args.subcommand](args)
+        lines = handlers[args.subcommand](args)
     except ValueError as exc:  # DomainError included
         print(f"qhotunnel {args.subcommand}: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

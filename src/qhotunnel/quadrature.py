@@ -157,7 +157,11 @@ def integrate_decaying(
     """Integral of f over [a, inf) for smooth f whose tail is eventually log-concave.
 
     The tail bound is rigorous there and a heuristic otherwise.  On success
-    ``abs_error_estimate <= tol * max(|value|, 1)``.
+    ``abs_error_estimate <= tol * max(|value|, 1)``.  On a log-convex tail
+    the ratio of a panel's halves understates the tail, so abs_error_estimate
+    need not bound the error: for (1 + x^2)^-3 from 0 at tol 1e-13 it reads
+    9.95e-15 against a true error of 1.19e-14 (the value is 3 pi/16), which
+    is still within tol.
     """
     _check_tol(tol)
     _check_bounds(a)

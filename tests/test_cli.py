@@ -168,13 +168,64 @@ class TestExitCodes:
             ("table", "--ns", _HUGE_N),
             ("coeffs", "--which", "alpha", "--order", "0"),
             ("coeffs", "--which", "alpha", "--order", "31"),
+            # n = 5 is computed before n = 0 is refused
+            ("asym", "5", "0"),
+            ("asym", "5", "0", "--form", "eq41"),
         ],
     )
     def test_out_of_domain_arguments_exit_2(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
+        assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestReport:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exact", "0", "10"),
+            ("asym", "1", "100"),
+            ("table", "--ns", "10,20"),
+            ("coeffs", "--which", "beta", "--order", "4"),
+            ("validate", "--ns", "100,400"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_report_is_one_write(self, argv):
+        out = _CountingStdout()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(list(argv)) == 0
+        assert out.writes == 1
+        assert out.getvalue().endswith("\n") and "\n\n" not in out.getvalue()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ns: ["exact", *ns],
+            lambda ns: ["asym", *ns, "--form", "numeric42"],
+            lambda ns: ["validate", "--ns", ",".join(ns)],
+        ],
+        ids=["exact", "asym", "validate"],
+    )
+    def test_multi_n_report_joins_the_single_n_reports(self, capsys, build):
+        # no blank line between the parts, one newline at the end
+        ns = ["1", "7", "100"]
+        code, whole, _ = run_cli(capsys, *build(ns))
+        assert code == 0
+        assert whole == "".join(run_cli(capsys, *build([n]))[1] for n in ns)
+        assert whole.endswith("\n") and "\n\n" not in whole
 
 
 class TestSupportedRange:

@@ -292,6 +292,25 @@ def test_smaller_request_shares_the_table(monkeypatch):
     assert c1.size == c2.size == 10
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 177, 178, 1000])
+def test_table_far_past_n_gives_the_bits_of_n_steps(monkeypatch, n):
+    # every loop stops at step n however long the table has grown
+    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0), np.empty(0)))
+    oscillator._coefficients(2**16)
+    nu = math.sqrt(2 * n + 1)
+    xs = [nu, -nu, 0.5 * nu]
+    for x in xs:
+        (mr,), (er,) = psi_ref(n, np.array([x]))
+        assert _hex(psi_py(n, x)) == _hex([mr.item(), er.item()]), x
+        assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), x
+    # and on grids either side of the float route
+    for size in (len(xs), oscillator._SCALAR_POINTS + 1):
+        grid = np.resize(xs, size)
+        m, e = psi_py(n, grid)
+        mr, er = psi_ref(n, grid)
+        assert _hex(m.tolist()) == _hex(mr.tolist()) and e.tolist() == er.tolist()
+
+
 def test_coefficient_table_is_read_only():
     c1, c2 = oscillator._coefficients(50)
     for c in (c1, c2, *oscillator._TABLE):

@@ -1,9 +1,13 @@
+import enum
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qhotunnel import oscillator
 from qhotunnel.oscillator import (
     OscillatorMode,
     ScaledValue,
@@ -37,6 +41,17 @@ def psi_reference(n, x, coeffs):
     return norm * math.exp(-0.5 * x * x) * H
 
 
+class _Level(enum.IntEnum):
+    FIFTH = 5
+
+
+class _NoNumbers:
+    """Stands in for the numbers module and fails on any use of it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numbers.{name} reached")
+
+
 class TestMode:
     def test_nu_squared(self):
         for n in (0, 1, 5, 100, 2000):
@@ -47,10 +62,26 @@ class TestMode:
         with pytest.raises(ValueError):
             OscillatorMode(-1)
 
-    @pytest.mark.parametrize("n", [2.5, 2.0, True, False, "3"])
+    def test_n_past_the_double_range_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            OscillatorMode(10**400)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, False, "3", 5.0, "5", Fraction(5), Decimal(5)])
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(TypeError):
             OscillatorMode(n)
+
+    @pytest.mark.parametrize("n", [5, np.int64(5), np.uint8(5), _Level.FIFTH], ids=repr)
+    def test_integer_n_is_stored_as_a_python_int(self, n):
+        mode = OscillatorMode(n)
+        assert type(mode.n) is int and mode.n == 5 and mode.nu == math.sqrt(11.0)
+
+    def test_python_int_skips_the_abc_check(self, monkeypatch):
+        monkeypatch.setattr(oscillator, "numbers", _NoNumbers())
+        assert OscillatorMode(5).nu == math.sqrt(11.0)
+        # the stub is reached by every other integer type
+        with pytest.raises(AssertionError, match="numbers.Integral"):
+            OscillatorMode(np.int64(5))
 
     def test_numpy_integer_n_accepted(self):
         assert OscillatorMode(np.int64(5)).nu == math.sqrt(11.0)

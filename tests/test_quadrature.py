@@ -69,6 +69,14 @@ class TestIntegrateDecaying:
         r = integrate_decaying(lambda x: (1.0 + x * x) ** -3, 0.0, 1e-11)
         assert abs(r.value - 3.0 * math.pi / 16.0) <= 1e-11
 
+    def test_log_convex_tail_stays_within_tol(self):
+        # past x = 1 this tail is log-convex: the estimate (9.95e-15) understates
+        # the true error (1.19e-14), but the value stays within tol
+        tol = 1e-13
+        r = integrate_decaying(lambda x: (1.0 + x * x) ** -3, 0.0, tol)
+        assert abs(r.value - 3.0 * math.pi / 16.0) <= tol * max(abs(r.value), 1.0)
+        assert r.abs_error_estimate <= tol * max(abs(r.value), 1.0)
+
     def test_zero_tail_stops_at_the_first_zero_panel(self):
         r = integrate_decaying(lambda x: np.maximum(1.0 - x, 0.0) ** 2, 0.0, 1e-13)
         assert r.value == pytest.approx(1.0 / 3.0, rel=1e-13)
