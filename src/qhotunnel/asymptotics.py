@@ -95,7 +95,11 @@ def zeta_of_x(x: float) -> ZetaPoint:
     if x < 1.0 + _X_SERIES_DELTA:
         zeta = _horner(_coeffs("zeta"), x - 1.0) if x > 1.0 else 0.0
     else:
-        zeta = _zeta32_closed(x) ** (2.0 / 3.0)
+        # the double 2/3 is 2^-53/3 low, so the power alone rounds zeta low by
+        # that times ln(zeta^(3/2)) (2.6e-14 at x = 1e150); put it back
+        z32 = _zeta32_closed(x)
+        zeta = z32 ** (2.0 / 3.0)
+        zeta += zeta * (2.0**-53 / 3.0 * math.log(z32))
     if not math.isfinite(zeta):  # x^2 overflows a double from x ~ 1.3e154 on
         raise DomainError(f"the map overflows a double at x = {x}")
     return ZetaPoint(x, zeta)
@@ -136,30 +140,18 @@ def _coefficient_functions(p: ZetaPoint) -> tuple[float, float, float]:
     zeta = p.zeta
     if zeta < _ZETA_SWITCH:
         return tuple(_horner(_coeffs(family), zeta) for family in ("phi", "b0", "a1"))
+    # divided through by x^6 (x^3 where the numerator is x (x^2 - 6)), so that
+    # no power of x^2 - 1 overflows before x^2 itself does
     x = p.x
-    x2 = x * x
     w2 = (x - 1.0) * (x + 1.0)
+    y = 1.0 / (x * x)
+    v = w2 * y  # (x^2 - 1) / x^2
+    v3 = v**1.5
     z32 = zeta**1.5
-    try:
-        w3, w6 = w2**1.5, w2**3
-    except OverflowError:
-        # from x ~ 1.3e51 on w2^3 overflows: the same forms with numerator and
-        # denominator divided by x^6 (x^3 where the numerator is x (x^2 - 6)),
-        # finite up to the map's own limit, where x^2 overflows
-        y = 1.0 / x2
-        v = w2 * y  # (x^2 - 1) / x^2
-        v3 = v**1.5
-        b = -0.5 / math.sqrt(zeta) * ((1.0 - 6.0 * y) / (12.0 * v3) + 5.0 / (24.0 * z32))
-        a = (
-            (145.0 * y * y + 249.0 * y - 9.0) * y / v**3
-            - 7.0 * (1.0 - 6.0 * y) / (v3 * z32)
-            - 455.0 / (4.0 * z32 * z32)
-        ) / 1152.0
-        return zeta / w2, b, a
-    b = -0.5 / math.sqrt(zeta) * (x * (x2 - 6.0) / (12.0 * w3) + 5.0 / (24.0 * z32))
+    b = -0.5 / math.sqrt(zeta) * ((1.0 - 6.0 * y) / (12.0 * v3) + 5.0 / (24.0 * z32))
     a = (
-        (145.0 + 249.0 * x2 - 9.0 * x2 * x2) / w6
-        - 7.0 * x * (x2 - 6.0) / (w3 * z32)
+        (145.0 * y * y + 249.0 * y - 9.0) * y / v**3
+        - 7.0 * (1.0 - 6.0 * y) / (v3 * z32)
         - 455.0 / (4.0 * z32 * z32)
     ) / 1152.0
     return zeta / w2, b, a
@@ -300,22 +292,43 @@ def _nu_label(p: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+# eq41's six coefficients, typed from the paper: _B0C, _B1C, _A2 and _A3 are
+# the first four terms of integral_phi_ai2_asym(1.0, 4), _C0 and _C1 the first
+# two of integral_phib0_dai2_asym(1.0, 2)
+_B0C = 6.0 ** (-2.0 / 3.0) / _GAMMA_THIRD**2
+_B1C = -1.0 / (30.0 * math.pi * math.sqrt(3.0))
+_A2 = 4.0 / 525.0 * 6.0 ** (-1.0 / 3.0) / _GAMMA_2THIRDS**2
+_A3 = -16.0 / 525.0 * 6.0 ** (-2.0 / 3.0) / _GAMMA_THIRD**2
+_C0 = 3.0 / 280.0 * 6.0 ** (-1.0 / 3.0) / _GAMMA_2THIRDS**2
+_C1 = -179.0 / 6300.0 * 6.0 ** (-2.0 / 3.0) / _GAMMA_THIRD**2
+
+# eq41 multiplied out to nu^(-14/3): its weights give 1/12 at nu^-2 and
+# -29/2400 at nu^-4
+_EQ41_POWER = (_B0C, _B1C, _A2 + _C0, _A3 + _C1 - 29.0 / 2400.0 * _B0C)
+# eq42 is eq41 with its prefactor expanded as well:
+#   exp(_eq41_log_prefactor(n)) / (2^(5/3) n^(-1/3)) = 1 - 5/(12 nu^2) - 23/(288 nu^4) + O(nu^-6),
+# so the weight at nu^-2 becomes 1/12 - 5/12 = -1/3 and the nu^-4 coefficient
+# takes -29/2400 - (5/12)(1/12) - 23/288 = -19/150 times _B0C
+_EQ42_POWER = (_B0C, _B1C, _A2 + _C0, _A3 + _C1 - 19.0 / 150.0 * _B0C)
+# the paper's decimal insertion of eq42's coefficients times 2^(5/3); the
+# nu^(-8/3) entry is positive
+_NUMERIC42_POWER = (0.1339750, -0.0194484, 0.0174687, -0.0248598)
+
+
 def tunnel_probability_asym(mode: OscillatorMode, form: str = "eq42") -> ExpansionResult:
     """Closed asymptotic value of the tunnelling probability for state n.
 
     Forms: 'eq41' keeps the exact gamma-function prefactor (assembled in
-    log space); 'eq42' is the fully expanded power form; 'numeric42' the
-    same with the decimal coefficients; 'jadczyk13' the two-term
-    comparison form in powers of n.
+    log space); its terms are the power terms to nu^(-14/3), each times that
+    prefactor, and a last term, the remainder beyond nu^(-14/3).  'eq42' is
+    the fully expanded power form; 'numeric42' the same with the decimal
+    coefficients; 'jadczyk13' the two-term comparison form in powers of n.
     """
     n, nu = mode.n, mode.nu
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}; choose from {FORMS}")
     if n < 1:
         raise DomainError("the closed expansions need n >= 1")
-    nu2 = nu * nu
-    g13sq = _GAMMA_THIRD**2
-    g23sq = _GAMMA_2THIRDS**2
 
     if form == "jadczyk13":
         pre = n ** (-1.0 / 3.0)
@@ -325,35 +338,27 @@ def tunnel_probability_asym(mode: OscillatorMode, form: str = "eq42") -> Expansi
 
     if form == "eq41":
         pre = math.exp(_eq41_log_prefactor(n))
-        b0c = 6.0 ** (-2.0 / 3.0) / g13sq
-        b1c = -1.0 / (30.0 * math.pi * math.sqrt(3.0))
-        a2 = 4.0 / 525.0 * 6.0 ** (-1.0 / 3.0) / g23sq
-        a3 = -16.0 / 525.0 * 6.0 ** (-2.0 / 3.0) / g13sq
-        c0 = 3.0 / 280.0 * 6.0 ** (-1.0 / 3.0) / g23sq
-        c1 = -179.0 / 6300.0 * 6.0 ** (-2.0 / 3.0) / g13sq
+        nu2 = nu * nu
         w = 1.0 + 1.0 / (12.0 * nu2) - 29.0 / (2400.0 * nu2 * nu2)
-        group1 = w * (b0c + b1c * nu ** (-4.0 / 3.0) + a2 * nu ** (-8.0 / 3.0) + a3 / (nu2 * nu2))
-        group2 = nu ** (-8.0 / 3.0) * (1.0 + 1.0 / (12.0 * nu2)) * (c0 + c1 * nu ** (-4.0 / 3.0))
+        group1 = w * (_B0C + _B1C * nu ** (-4.0 / 3.0) + _A2 * nu ** (-8.0 / 3.0) + _A3 / (nu2 * nu2))
+        group2 = nu ** (-8.0 / 3.0) * (1.0 + 1.0 / (12.0 * nu2)) * (_C0 + _C1 * nu ** (-4.0 / 3.0))
         value = pre * (group1 + group2)
-        terms = _power_terms_eq41(pre, nu, b0c, b1c, a2, a3, c0, c1, value)
+        terms = _power_terms(pre, nu, _EQ41_POWER, 1.0 / 12.0)
+        terms += (("nu^(-16/3)", value - math.fsum(v for _, v in terms)),)
         return ExpansionResult(value, terms, abs(terms[-1][1]))
 
     if form == "eq42":
-        pre = 2.0 ** (5.0 / 3.0) * n ** (-1.0 / 3.0)
-        b = (
-            6.0 ** (-2.0 / 3.0) / g13sq,
-            -1.0 / (30.0 * math.pi * math.sqrt(3.0)),
-            11.0 / 600.0 * 6.0 ** (-1.0 / 3.0) / g23sq,
-            -167.0 / 900.0 * 6.0 ** (-2.0 / 3.0) / g13sq,
-        )
+        terms = _power_terms(2.0 ** (5.0 / 3.0) * n ** (-1.0 / 3.0), nu, _EQ42_POWER, -1.0 / 3.0)
     else:  # numeric42
-        pre = n ** (-1.0 / 3.0)
-        # decimal insertion of the eq42 coefficients; the nu^{-8/3} entry is
-        # positive (it equals 2^{5/3} * 11/600 * 6^{-1/3} / Gamma(2/3)^2)
-        b = (0.1339750, -0.0194484, 0.0174687, -0.0248598)
+        terms = _power_terms(n ** (-1.0 / 3.0), nu, _NUMERIC42_POWER, -1.0 / 3.0)
+    return ExpansionResult(math.fsum(v for _, v in terms), terms, abs(terms[-1][1]))
 
-    w = -1.0 / 3.0
-    t = (
+
+def _power_terms(pre, nu, b, w):
+    """The seven labelled terms of pre (b0 + b1 nu^-4/3 + b2 nu^-8/3 + b3 nu^-4)
+    (1 + w nu^-2), to nu^(-14/3)."""
+    nu2 = nu * nu
+    return (
         ("nu^0", pre * b[0]),
         ("nu^(-4/3)", pre * b[1] * nu ** (-4.0 / 3.0)),
         ("nu^(-2)", pre * w * b[0] / nu2),
@@ -362,8 +367,6 @@ def tunnel_probability_asym(mode: OscillatorMode, form: str = "eq42") -> Expansi
         ("nu^(-4)", pre * b[3] / (nu2 * nu2)),
         ("nu^(-14/3)", pre * w * b[2] * nu ** (-14.0 / 3.0)),
     )
-    value = math.fsum(v for _, v in t)
-    return ExpansionResult(value, t, abs(t[-1][1]))
 
 
 def _eq41_log_prefactor(n: int) -> float:
@@ -385,23 +388,6 @@ def _eq41_log_prefactor(n: int) -> float:
         -(n + 5.0 / 6.0) * math.log1p(0.5 / n),
     )
     return math.fsum(terms)
-
-
-def _power_terms_eq41(pre, nu, b0c, b1c, a2, a3, c0, c1, value):
-    nu2 = nu * nu
-    w = 1.0 / 12.0
-    t = [
-        ("nu^0", pre * b0c),
-        ("nu^(-4/3)", pre * b1c * nu ** (-4.0 / 3.0)),
-        ("nu^(-2)", pre * w * b0c / nu2),
-        ("nu^(-8/3)", pre * (a2 + c0) * nu ** (-8.0 / 3.0)),
-        ("nu^(-10/3)", pre * w * b1c * nu ** (-10.0 / 3.0)),
-        ("nu^(-4)", pre * (a3 - 29.0 / 2400.0 * b0c) / (nu2 * nu2)),
-        ("nu^(-14/3)", pre * (w * (a2 + c0) + c1) * nu ** (-14.0 / 3.0)),
-    ]
-    residual = value - math.fsum(v for _, v in t)
-    t.append(("nu^(-16/3)", residual))
-    return tuple(t)
 
 
 # ---------------------------------------------------------------------------

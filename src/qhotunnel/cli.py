@@ -119,6 +119,9 @@ def _run_asym(args) -> list[str]:
 
 def _run_table(args) -> list[str]:
     _check_supported(args.ns)
+    # refused before the CSV is opened, so a refused request leaves it as it was
+    if min(args.ns) < 1:
+        raise ValueError("the closed expansions need n >= 1")
     # opened before any row is computed, so an unwritable path costs no row
     try:
         sink = open(args.csv, "w", newline="") if args.csv else io.StringIO()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -51,6 +52,13 @@ class TestZetaMap:
             w = math.sqrt(x * x - 1.0)
             closed = (0.75 * (x * w - math.acosh(x))) ** (2.0 / 3.0)
             assert zeta_of_x(x).zeta == pytest.approx(closed, rel=1e-11)
+
+    @pytest.mark.parametrize("x", [1.2, 3.0, 100.0, 1e8, 1e60, 1e150])
+    def test_closed_map_against_mpmath(self, x):
+        # raising to the double 2/3 alone rounds zeta low by 2.6e-14 at 1e150
+        with mpmath.workdps(50):
+            ref = _closed_forms_mp(x)[0]
+            assert abs(zeta_of_x(x).zeta / ref - 1) <= 4e-16
 
     def test_monotone(self):
         xs = np.linspace(1.0, 4.0, 200)
@@ -422,11 +430,57 @@ class TestTunnelProbabilityAsym:
         e42 = tunnel_probability_asym(mode, "eq42").value
         assert e41 == pytest.approx(e42, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [100, 800, 10**5])
+    def test_eq41_remainder_is_beyond_the_last_power(self, n):
+        # the remainder is O(nu^(-16/3)), so at most nu^(-4/3) times the nu^-4 term
+        r = dict(tunnel_probability_asym(OscillatorMode(n), "eq41").terms)
+        nu = math.sqrt(2 * n + 1)
+        assert abs(r["nu^(-16/3)"]) <= nu ** (-4.0 / 3.0) * abs(r["nu^(-4)"])
+
     def test_rejects_n_zero_and_bad_form(self):
         with pytest.raises(DomainError):
             tunnel_probability_asym(OscillatorMode(0), "eq42")
         with pytest.raises(ValueError):
             tunnel_probability_asym(OscillatorMode(5), "eq43")
+
+
+class TestClosedFormConstants:
+    """The coefficients eq41 types from the paper, and eq42's taken from them."""
+
+    def test_eq41_constants_are_the_watson_terms(self):
+        from qhotunnel.asymptotics import _A2, _A3, _B0C, _B1C, _C0, _C1
+
+        watson = [v for _, v in integral_phi_ai2_asym(1.0, 4).terms]
+        watson += [v for _, v in integral_phib0_dai2_asym(1.0, 2).terms]
+        for typed, derived in zip((_B0C, _B1C, _A2, _A3, _C0, _C1), watson, strict=True):
+            assert abs(typed / derived - 1) <= 1e-15
+
+    def test_eq42_rationals_follow_from_eq41(self):
+        # nu^(-8/3): a2 + c0; nu^-4: a3 + c1 - 19/150 b0c, where
+        # -19/150 = -29/2400 - (5/12)(1/12) - 23/288 comes from the prefactor
+        F = Fraction
+        assert F(-29, 2400) - F(5, 12) * F(1, 12) - F(23, 288) == F(-19, 150)
+        assert F(4, 525) + F(3, 280) == F(11, 600)
+        assert F(-16, 525) - F(179, 6300) - F(19, 150) == F(-167, 900)
+
+    def test_eq42_coefficients_are_the_papers(self):
+        from qhotunnel.asymptotics import _EQ42_POWER
+
+        g13sq, g23sq = gamma(1.0 / 3.0) ** 2, gamma(2.0 / 3.0) ** 2
+        paper = (11.0 / 600.0 * 6.0 ** (-1.0 / 3.0) / g23sq, -167.0 / 900.0 * 6.0 ** (-2.0 / 3.0) / g13sq)
+        for got, ref in zip(_EQ42_POWER[2:], paper):
+            assert got == pytest.approx(ref, rel=1e-15)
+
+    def test_prefactor_expansion(self):
+        # exp(_eq41_log_prefactor(n)) n^(1/3) / 2^(5/3) = 1 - 5/(12 nu^2) - 23/(288 nu^4)
+        # + c nu^-6, c = -0.0343; past n ~ 10^4 the double's rounding is larger
+        from qhotunnel.asymptotics import _eq41_log_prefactor
+
+        for n in (10**2, 10**3, 10**4, 10**5):
+            nu2 = 2.0 * n + 1.0
+            ratio = math.exp(_eq41_log_prefactor(n)) * n ** (1.0 / 3.0) / 2.0 ** (5.0 / 3.0)
+            rest = ratio - (1.0 - 5.0 / (12.0 * nu2) - 23.0 / (288.0 * nu2 * nu2))
+            assert abs(rest + 0.0343 / nu2**3) <= 0.001 / nu2**3 + 2.0**-51
 
 
 class TestEq42AgainstFrozenReference:

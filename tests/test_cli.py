@@ -89,6 +89,14 @@ class TestTable:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and f"cannot write {path}" in err
 
+    def test_refused_n_leaves_the_csv_untouched(self, capsys, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"precious")
+        code, out, err = run_cli(capsys, "table", "--ns", "0,10", "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert "n >= 1" in err
+        assert path.read_bytes() == b"precious"
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--ns", "5,8")
         _, second, _ = run_cli(capsys, "table", "--ns", "5,8")
