@@ -18,10 +18,13 @@ by hand and cancel them before any series arithmetic happens.
 A TruncatedSeries holds integer numerators over one common denominator, so
 a product is plain int arithmetic with no gcd.  Newton doubling
 g <- g(2 - a*g) (Brent & Kung, JACM 1978) serves inverses only, with the
-denominator reduced once per doubling.  Reversion is Lagrange inversion:
-one inverse q and the products q^k, of which coefficient k - 1 over k is
-coefficient k of the result.  Powers run their recurrence over a
-denominator fixed in advance, so every division in it is exact.  Products,
+denominator reduced once per doubling.  Powers run their recurrence over a
+denominator fixed in advance, so every division in it is exact.  The
+derivations need no reversion: u(s), the inverse of the map, is solved
+coefficient by coefficient from the map's ODE zeta (dzeta/dx)^2 = x^2 - 1,
+and the same ODE turns phi and the powers of B = (x^2 - 1)/zeta that b0 and
+a1 need into products of u'(s).  TruncatedSeries.revert (Lagrange
+inversion) stays as the reference the solve is tested against.  Products,
 inverses, powers and reversions of series are unique, so whichever route
 computes them, the results equal those of Fraction arithmetic coefficient
 for coefficient.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -203,6 +207,10 @@ class TruncatedSeries:
         m = min(len(self), len(other))
         return self.mul(other.truncate(m).inverse())
 
+    def derivative(self) -> "TruncatedSeries":
+        """d/dvar, one coefficient shorter."""
+        return TruncatedSeries(self.den, [k * n for k, n in enumerate(self.nums)][1:])
+
     def inverse(self) -> "TruncatedSeries":
         return TruncatedSeries(*_inv((self.den, self.nums)))
 
@@ -357,27 +365,59 @@ def _s_of_u(M: int) -> TruncatedSeries:
 def derive_inversion_series(M: int) -> ExactSeries:
     """x as a series in zeta (constant term 1), M coefficients."""
     _check_order(M)
-    # a one-term zeta series has no linear term to revert
-    u = _u_of_s(max(M, 2)).truncate(M)
-    return _in_zeta(u.add_const(1), 0)
+    return _in_zeta(_u_of_s(M).add_const(1), 0)
 
 
 def _u_of_s(work: int) -> TruncatedSeries:
-    """u = x - 1 as a series in s: the one reversion of each derivation."""
-    return _s_of_u(work).revert()
+    """u = x - 1 as a series in s, work coefficients: the one map of each derivation.
+
+    The map obeys zeta (dzeta/dx)^2 = x^2 - 1, so u = s w solves
+    w (s w + 2)(w + s w')^2 = 2.  Coefficient k of the left side is
+    (4k + 6) w_k plus terms in w_0..w_(k-1), so w_k follows from three
+    convolutions of length k: A = w(s w + 2), C = (w + s w')^2 and H = A C,
+    each without its w_k terms.  W = d w and V_j = (j + 1) W_j are carried
+    over one common denominator d, A and C over d^2; when w_k needs a new
+    factor of d, every list is rescaled by it.
+    """
+    d, W, V, A, C = 1, [1], [1], [2], [1]  # w_0 = 1: A_0 = 2, C_0 = 1
+    for k in range(1, work - 1):
+        a = sum(map(mul, W, reversed(W)))
+        c = sum(map(mul, V[1:], reversed(V[1:])))
+        h = a * C[0] + A[0] * c + sum(map(mul, A[1:], reversed(C[1:])))
+        # (4k + 6) w_k = -h / d^4, and W_k = d w_k
+        wk = Fraction(-h, (4 * k + 6) * d**3)
+        r = wk.denominator
+        if r != 1:
+            r2 = r * r
+            d *= r
+            W = [v * r for v in W]
+            V = [v * r for v in V]
+            A = [v * r2 for v in A]
+            C = [v * r2 for v in C]
+            a *= r2
+            c *= r2
+        p = wk.numerator
+        W.append(p)
+        V.append((k + 1) * p)
+        A.append(a + 2 * d * p)
+        C.append(c + 2 * (k + 1) * d * p)
+    return TruncatedSeries(d, ([0] + W)[:work])
 
 
-# Each piece below takes u(s) with at least M + (its offset) coefficients and
-# cuts it to that length, so one reversion can serve two pieces.  Each returns
-# g with f(zeta) = 2^(a/3) g(s) for the constant a its derive_* applies.
-_PHI_WORK, _B0_WORK, _A1_WORK = 3, 4, 5
+# By the same ODE, B = (x^2 - 1)/zeta = (dzeta/dx)^2, and dx/dzeta =
+# 2^(-1/3) u'(s), so phi = 1/B and the powers of B that b0 and a1 need are
+# plain products of u'(s): no inverse, no fractional power.  Each piece below
+# takes u(s) with at least M + (its offset) coefficients, one lost to u' and
+# the rest to its shift_down, and cuts it to that length, so one map can serve
+# two pieces.  Each returns g with f(zeta) = 2^(a/3) g(s) for the constant a
+# its derive_* applies.
+_PHI_WORK, _B0_WORK, _A1_WORK = 1, 3, 4
 
 
 def _phi(u: TruncatedSeries, M: int) -> TruncatedSeries:
-    """phi = zeta/(x^2 - 1) = 2^(1/3) s/(u(u+2)): a = 1."""
-    u = u.truncate(M + _PHI_WORK)
-    q = u.mul(u.add_const(2)).shift_down(1)  # u(u+2) = x^2 - 1, vanishes at s = 0
-    return q.inverse().truncate(M)
+    """phi = zeta/(x^2 - 1) = (dx/dzeta)^2 = 2^(1/3) u'^2/2: a = 1."""
+    v = u.truncate(M + _PHI_WORK).derivative()
+    return v.mul(v).scale(Fraction(1, 2))
 
 
 def derive_phi_series(M: int) -> ExactSeries:
@@ -386,22 +426,18 @@ def derive_phi_series(M: int) -> ExactSeries:
     return _in_zeta(_phi(_u_of_s(M + _PHI_WORK), M), 1)
 
 
-def _bn_series(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(x, Bn) with B = u(u+2)/zeta = 2^(2/3) Bn and Bn(0) = 1.
-
-    So B^(3/2) = 2 Bn^(3/2) and B^3 = 4 Bn^3 stay rational.
-    """
-    x = u.add_const(1)
-    Bn = u.shift_down(1).mul(u.add_const(2)).scale(Fraction(1, 2))
-    return x, Bn
+def _x_and_cube(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(x, u'^3), where 1/B^(3/2) = u'^3/2 and 1/B^3 = u'^6/4 stay rational."""
+    v = u.derivative()
+    return u.add_const(1), v.mul(v).mul(v)
 
 
 def _b0(u: TruncatedSeries, M: int) -> TruncatedSeries:
     """b0 = -(1/2)[x(x^2-6)/(12 B^(3/2)) + 5/24]/zeta^2, zeta^2 = 2^(2/3) s^2: a = -2."""
-    x, Bn = _bn_series(u.truncate(M + _B0_WORK))
-    p1 = x.mul(x.mul(x).add_const(-6)).div(Bn.power(Fraction(3, 2))).scale(Fraction(1, 24))
+    x, v3 = _x_and_cube(u.truncate(M + _B0_WORK))
+    p1 = x.mul(x.mul(x).add_const(-6)).mul(v3).scale(Fraction(1, 24))
     bracket = p1.add_const(Fraction(5, 24))
-    return bracket.shift_down(2).scale(Fraction(-1, 2)).truncate(M)
+    return bracket.shift_down(2).scale(Fraction(-1, 2))
 
 
 def derive_b0_series(M: int) -> ExactSeries:
@@ -413,24 +449,23 @@ def derive_b0_series(M: int) -> ExactSeries:
 def derive_beta_series(M: int) -> ExactSeries:
     """Coefficients beta_m with phi(zeta) b0(zeta) = -sum beta_m zeta^m."""
     _check_order(M)
-    work = M + 4
-    u = _u_of_s(work + max(_PHI_WORK, _B0_WORK))
+    u = _u_of_s(M + max(_PHI_WORK, _B0_WORK))
     # a = 1 for phi plus -2 for b0
-    return _in_zeta((-_phi(u, work).mul(_b0(u, work))).truncate(M), -1)
+    return _in_zeta(-_phi(u, M).mul(_b0(u, M)), -1)
 
 
 def _a1(u: TruncatedSeries, M: int) -> TruncatedSeries:
     """a1 = [(145 + 249x^2 - 9x^4)/B^3 - 7x(x^2-6)/B^(3/2) - 455/4]/(1152 zeta^3).
 
-    With B^3 = 4 Bn^3, B^(3/2) = 2 Bn^(3/2) and zeta^3 = 2 s^3: a = -3.
+    With zeta^3 = 2 s^3: a = -3.
     """
-    x, Bn = _bn_series(u.truncate(M + _A1_WORK))
+    x, v3 = _x_and_cube(u.truncate(M + _A1_WORK))
     x2 = x.mul(x)
     num1 = (x2.scale(249) + x2.mul(x2).scale(-9)).add_const(145)
-    piece1 = num1.div(Bn.power(3)).scale(Fraction(1, 4))
-    piece2 = x.mul(x2.add_const(-6)).div(Bn.power(Fraction(3, 2))).scale(Fraction(-7, 2))
+    piece1 = num1.mul(v3.mul(v3)).scale(Fraction(1, 4))
+    piece2 = x.mul(x2.add_const(-6)).mul(v3).scale(Fraction(-7, 2))
     total = (piece1 + piece2).add_const(Fraction(-455, 4))
-    return total.shift_down(3).scale(Fraction(1, 1152)).truncate(M)
+    return total.shift_down(3).scale(Fraction(1, 1152))
 
 
 def derive_a1_series(M: int) -> ExactSeries:
@@ -447,8 +482,7 @@ def derive_a1_series(M: int) -> ExactSeries:
 def derive_nu4_weight_series(M: int) -> ExactSeries:
     """Series of -(1/576) phi (1 + 1152 f2), the order-nu^-4 density weight."""
     _check_order(M)
-    work = M + 2
-    u = _u_of_s(work + max(_PHI_WORK, _A1_WORK))
-    # a1 = g/2 with g = _a1(u, work), so 1152 a1 + 3 = 576 g + 3 is rational
-    weight = _phi(u, work).mul(_a1(u, work).scale(576).add_const(3))
-    return _in_zeta(weight.scale(Fraction(-1, 576)).truncate(M), 1)
+    u = _u_of_s(M + max(_PHI_WORK, _A1_WORK))
+    # a1 = g/2 with g = _a1(u, M), so 1152 a1 + 3 = 576 g + 3 is rational
+    weight = _phi(u, M).mul(_a1(u, M).scale(576).add_const(3))
+    return _in_zeta(weight.scale(Fraction(-1, 576)), 1)

@@ -106,6 +106,9 @@ class TestSeriesOps:
         with pytest.raises(NonRepresentablePower):
             TruncatedSeries.from_list([4, 1, 0]).power(F(1, 2))
 
+    def test_derivative(self):
+        assert TruncatedSeries.from_list([5, F(1, 2), 3, -1]).derivative().coeffs == (F(1, 2), 6, -3)
+
     def test_shift_down_guards_pole(self):
         with pytest.raises(PoleCancellationFailure):
             TruncatedSeries.from_list([1, 2]).shift_down(1)
@@ -278,21 +281,46 @@ def test_derivation_equals_fraction_reference(reference_at_13, family, order):
 
 @pytest.mark.parametrize("family", sorted(set(_FAMILIES) - {"zeta"}))
 def test_one_reversion_per_derivation(monkeypatch, family):
-    calls = []
-    revert = TruncatedSeries.revert
+    # u(s), the reversion of s(u), is solved once and serves both pieces of a
+    # family; TruncatedSeries.revert is not called
+    maps, reversions = [], []
+    u_of_s, revert = series._u_of_s, TruncatedSeries.revert
 
-    def counted(self):
-        calls.append(self)
+    def counted_map(work):
+        maps.append(work)
+        return u_of_s(work)
+
+    def counted_revert(self):
+        reversions.append(self)
         return revert(self)
 
-    monkeypatch.setattr(TruncatedSeries, "revert", counted)
+    monkeypatch.setattr(series, "_u_of_s", counted_map)
+    monkeypatch.setattr(TruncatedSeries, "revert", counted_revert)
     _FAMILIES[family](5)
-    assert len(calls) == 1
+    assert len(maps) == 1
+    assert reversions == []
+
+
+@pytest.mark.parametrize("work", range(2, 39))
+def test_map_solve_equals_reversion(work):
+    # 38 runs past the longest u(s) any derivation takes (34, for a1 and the
+    # nu4 weight at order 30)
+    u = series._u_of_s(work)
+    reverted = series._s_of_u(work).revert()
+    assert (u.den, u.nums) == (reverted.den, reverted.nums)
+
+
+@pytest.mark.parametrize("work", [3, 13, 38])
+def test_map_solve_satisfies_the_map_ode(work):
+    # zeta (dzeta/dx)^2 = x^2 - 1 with zeta = 2^(1/3) s, x = 1 + u
+    u = series._u_of_s(work)
+    lhs = u.mul(u.add_const(2)).mul(u.derivative().mul(u.derivative()))
+    assert lhs.coeffs == (0, 2) + (0,) * (work - 3)
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_order_cap_applies_to_the_requested_order(family):
-    # the work lengths inside run up to 8 terms past the order asked for
+    # the work lengths inside run up to 4 terms past the order asked for
     assert _FAMILIES[family](30).coeffs[:13] == _FAMILIES[family](13).coeffs
     for order in (0, 31):
         with pytest.raises(ValueError, match=r"order must lie in 1\.\.30"):
