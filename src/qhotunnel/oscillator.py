@@ -385,7 +385,8 @@ class ScaledValue:
         """Nearest double; underflows to 0.0 and overflows to +-inf."""
         if self.mantissa == 0.0:
             return 0.0
-        if self.exponent > 1100:
+        # |mantissa| >= 1/2, so 2**1024 (past the largest double) is reached from 1025 on
+        if self.exponent > 1024:
             return math.inf if self.mantissa > 0 else -math.inf
         if self.exponent < -1100:
             return 0.0 * self.mantissa

@@ -264,19 +264,66 @@ class TestSupportedRange:
         assert "must be >= 0" in err
 
 
-class TestParserReuse:
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
+def _fresh(*argv):
+    """A new interpreter run with these arguments, importing the package from the source tree."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
+
+class TestParserReuse:
     def test_flag_error_leaves_the_parser_intact(self, capsys):
-        cli.build_parser.cache_clear()
-        _, first, _ = run_cli(capsys, "asym", "100")
+        first = _fresh("-m", "qhotunnel", "asym", "100")
+        assert first.returncode == 0, first.stderr
         with pytest.raises(SystemExit) as exc:
             cli.main(["asym", "100", "--form", "bogus"])
         assert exc.value.code == 2
         capsys.readouterr()
-        _, again, _ = run_cli(capsys, "asym", "100")
-        assert again == first
+        assert run_cli(capsys, "asym", "100") == (0, first.stdout, "")
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [[flag] for flag in ("-h", "--help")] + [[cmd, flag] for cmd in cli._COMMANDS for flag in ("-h", "--help")],
+        ids=" ".join,
+    )
+    def test_help_exits_0_with_the_usage_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 0
+        assert out.err == ""
+        prog = "qhotunnel" if len(argv) == 1 else f"qhotunnel {argv[0]}"
+        assert out.out.startswith(f"usage: {prog} [-h] ")
+        if len(argv) == 1:
+            assert all(f"\n  {cmd} " in out.out for cmd in cli._COMMANDS)
+        else:
+            assert all(f"\n  {flag.name} " in out.out for flag in cli._COMMANDS[argv[0]].flags)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "-h"], ["-x", "asym", "5"]], ids=repr)
+    def test_no_or_unknown_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        usage, error = out.err.splitlines()
+        assert usage.startswith("usage: qhotunnel [-h] ")
+        assert error.startswith("qhotunnel: error: ")
+
+    def test_usage_error_names_the_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asym", "5", "--form", "bogus"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        usage, error = out.err.splitlines()
+        assert usage.startswith("usage: qhotunnel asym [-h] ")
+        assert error.startswith("qhotunnel asym: error: argument --form: invalid choice: 'bogus'")
+
+    def test_import_leaves_argparse_and_gettext_out(self):
+        probe = "import sys, qhotunnel.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        proc = _fresh("-c", probe)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # n log-uniform over [1, 10^400]: a decade, then a value inside it
@@ -328,10 +375,6 @@ def test_no_exact_table_or_validate_argv_exits_1(argv):
 
 
 def test_module_entry_point_runs():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "qhotunnel", "exact", "10"], capture_output=True, text=True, env=env
-    )
+    proc = _fresh("-m", "qhotunnel", "exact", "10")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "10 0.06014381449\n"

@@ -109,6 +109,13 @@ class TestScaledValue:
             assert sq.is_normalized
             assert sq.to_float() == pytest.approx(v * v, rel=1e-15)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_to_float_overflows_to_signed_infinity(self, sign):
+        # 0.75 * 2**1024 is the last finite exponent; from 1025 on the value is past the largest double
+        assert ScaledValue(sign * 0.75, 1024).to_float() == sign * math.ldexp(0.75, 1024)
+        for exponent in (1025, 1050, 1100):
+            assert ScaledValue(sign * 0.75, exponent).to_float() == sign * math.inf
+
     def test_square_survives_double_underflow(self):
         sq = ScaledValue.from_float(1e-300).square()
         assert sq.mantissa != 0.0
