@@ -6,28 +6,24 @@ is re-derived here from first principles in exact arithmetic, so the
 golden tests can demand equality rather than closeness.
 
 The coefficients lie in Q(2^(1/3)), but the field never enters the
-arithmetic.  The map is zeta = 2^(1/3) s with s = u T(u)^(2/3) rational
-(u = x - 1), so every family is f(zeta) = 2^(a/3) g(2^(-1/3) zeta) with g a
+arithmetic.  The map is zeta = 2^(1/3) s with s a rational series in
+u = x - 1, so every family is f(zeta) = 2^(a/3) g(2^(-1/3) zeta) with g a
 rational series in s and a a fixed integer per family; coefficient k of f
 is the monomial g_k 2^((a - k)/3).  All derivations therefore run over Q in
 the variable s, and the cube root of 2 is applied only on output
-(ExactSeries, ExactCoefficient).  Half-integer powers such as u^{3/2} or
-zeta^{-1/2} are never stored in a series: the derivations factor them out
-by hand and cancel them before any series arithmetic happens.
+(ExactSeries, ExactCoefficient).  Half-integer powers such as zeta^{-1/2}
+or ((x^2 - 1)/zeta)^{3/2} are never stored in a series: the derivations
+cancel them by hand before any series arithmetic happens.
 
 A TruncatedSeries holds integer numerators over one common denominator, so
-a product is plain int arithmetic with no gcd.  Newton doubling
-g <- g(2 - a*g) (Brent & Kung, JACM 1978) serves inverses only, with the
-denominator reduced once per doubling.  Powers run their recurrence over a
-denominator fixed in advance, so every division in it is exact.  The
-derivations need no reversion: u(s), the inverse of the map, is solved
-coefficient by coefficient from the map's ODE zeta (dzeta/dx)^2 = x^2 - 1,
-and the same ODE turns phi and the powers of B = (x^2 - 1)/zeta that b0 and
-a1 need into products of u'(s).  TruncatedSeries.revert (Lagrange
-inversion) stays as the reference the solve is tested against.  Products,
-inverses, powers and reversions of series are unique, so whichever route
-computes them, the results equal those of Fraction arithmetic coefficient
-for coefficient.
+a product is plain int arithmetic with no gcd.  Both directions of the map,
+s(u) for zeta and its reversion u(s) for every other family, come from one
+coefficient-by-coefficient solve of the map's ODE zeta (dzeta/dx)^2 =
+x^2 - 1 (_solve_map), and the same ODE turns phi and the powers of
+B = (x^2 - 1)/zeta that b0 and a1 need into products of u'(s).  So the
+derivations need products and no inverse, power or reversion of a series.
+Products and reversions of series are unique, so the results equal those
+of Fraction arithmetic coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -35,22 +31,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Iterable
 
-_CBRT2 = 2.0 ** (1.0 / 3.0)
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n > 0, by Newton's method from above the root."""
+    x = 1 << (n.bit_length() // 3 + 1)
+    while (y := (2 * x + n // (x * x)) // 3) < x:
+        x = y
+    return x
 
 
-class ZeroLeadingTerm(ZeroDivisionError):
-    """Series division with a vanishing constant term."""
-
-
-class NonRepresentablePower(ArithmeticError):
-    """Power of a series whose constant term is not 1."""
-
-
-class NotInvertible(ArithmeticError):
-    """Series reversion with a vanishing linear term."""
+# 2^(j/3) for j = 0, 1, 2 as integers over 2^_CBRT2_BITS, rounded down
+_CBRT2_BITS = 160
+_CBRT2_NUMS = tuple(_icbrt(1 << (j + 3 * _CBRT2_BITS)) for j in range(3))
 
 
 class PoleCancellationFailure(ArithmeticError):
@@ -69,7 +64,18 @@ class ExactCoefficient:
         return ExactCoefficient(-self.c0, -self.c1, -self.c2)
 
     def to_float(self) -> float:
-        return float(self.c0) + float(self.c1) * _CBRT2 + float(self.c2) * _CBRT2 * _CBRT2
+        """The exact sum over one denominator, rounded once at the end.
+
+        2^(1/3) and 2^(2/3) are good to 2^-160, so a monomial r 2^(j/3), as
+        every derived coefficient is, gives its nearest double unless it lies
+        within about 2^-160 of a midpoint between two doubles.
+        """
+        num, den = 0, 1
+        for r, n in zip((self.c0, self.c1, self.c2), _CBRT2_NUMS):
+            if r:
+                num = num * r.denominator + r.numerator * n * den
+                den *= r.denominator
+        return num / (den << _CBRT2_BITS)  # int division rounds correctly
 
     def __str__(self) -> str:
         return format_coefficient(self)
@@ -181,9 +187,6 @@ class TruncatedSeries:
         sa, sb = d // self.den, d // other.den
         return TruncatedSeries(d, [a * sa + b * sb for a, b in zip(self.nums, other.nums)])
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + -other
-
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.den, [-n for n in self.nums])
 
@@ -203,26 +206,9 @@ class TruncatedSeries:
         m = min(len(self), len(other))
         return TruncatedSeries(*_mul((self.den, self.nums), (other.den, other.nums), m))
 
-    def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(len(self), len(other))
-        return self.mul(other.truncate(m).inverse())
-
     def derivative(self) -> "TruncatedSeries":
         """d/dvar, one coefficient shorter."""
         return TruncatedSeries(self.den, [k * n for k, n in enumerate(self.nums)][1:])
-
-    def inverse(self) -> "TruncatedSeries":
-        return TruncatedSeries(*_inv((self.den, self.nums)))
-
-    def power(self, r) -> "TruncatedSeries":
-        """self^r for rational r; the constant term must be 1."""
-        if self.nums[0] != self.den:
-            raise NonRepresentablePower("a series power needs the constant term 1")
-        return TruncatedSeries(*_binomial((self.den, self.nums), Fraction(r)))
-
-    def shift_up(self, k: int) -> "TruncatedSeries":
-        """Multiply by var^k, keeping length (high coefficients fall off)."""
-        return TruncatedSeries(self.den, ([0] * k + self.nums)[: len(self)])
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by var^k; the k lowest coefficients must vanish exactly."""
@@ -232,25 +218,6 @@ class TruncatedSeries:
                     f"coefficient of var^{j} is {self.coefficient(j)}, expected 0"
                 )
         return TruncatedSeries(self.den, self.nums[k:])
-
-    def revert(self) -> "TruncatedSeries":
-        """Compositional inverse: self(revert(self)) = identity.
-
-        Lagrange inversion (Comtet, Advanced Combinatorics, 1974, 3.8): with
-        self = var p and q = 1/p, coefficient k of the inverse is
-        [var^(k-1)] q^k / k.
-        """
-        if self.nums[0]:
-            raise NotInvertible("reversion needs a zero constant term")
-        if len(self) < 2 or not self.nums[1]:
-            raise NotInvertible("reversion needs an invertible linear term")
-        q = self.shift_down(1).inverse()
-        qk, coeffs = q, [0, q.coefficient(0)]
-        for k in range(2, len(self)):
-            qk = qk.mul(q)
-            coeffs.append(qk.coefficient(k - 1) / k)
-        return TruncatedSeries.from_list(coeffs)
-
 
 # ---------------------------------------------------------------------------
 # Kernels on (denominator, numerators) pairs
@@ -281,44 +248,6 @@ def _mul(a, b, m: int) -> tuple[int, list[int]]:
     return da * db, out
 
 
-def _inv(a) -> tuple[int, list[int]]:
-    """1/a by Newton doubling g <- g(2 - a*g), which doubles the correct terms."""
-    da, na = a
-    if not na[0]:
-        raise ZeroLeadingTerm("series inverse needs a nonzero constant term")
-    m = len(na)
-    g = (na[0], [da])
-    n = 1
-    while n < m:
-        n = min(2 * n, m)
-        de, e = _mul(a, g, n)
-        e = [-v for v in e]
-        e[0] += 2 * de  # 2 - a*g
-        g = _reduced(*_mul(g, (de, e), n))
-    return g
-
-
-def _binomial(t, r: Fraction) -> tuple[int, list[int]]:
-    """t^r for a series t with constant term 1, rational exponent r.
-
-    With y = t^r, k y_k = sum_{i=1..k} (r i - (k - i)) t_i y_{k-i}.  If
-    t = T/dt and r = p/q, then y_k has a denominator dividing
-    q^k dt^k k!, so y is carried over the common denominator
-    E = q^(m-1) dt^(m-1) (m-1)! and every division below is exact.
-    """
-    dt, nt = t
-    m = len(nt)
-    p, q = r.numerator, r.denominator
-    e = (q * dt) ** (m - 1) * math.factorial(m - 1)
-    y = [e]
-    for k in range(1, m):
-        s = 0
-        for i in range(1, k + 1):
-            s += (p * i - q * (k - i)) * nt[i] * y[k - i]
-        y.append(s // (k * q * dt))
-    return e, y
-
-
 # ---------------------------------------------------------------------------
 # Derivations of the turning-point expansions
 # ---------------------------------------------------------------------------
@@ -327,10 +256,16 @@ def _binomial(t, r: Fraction) -> tuple[int, list[int]]:
 _MAX_ORDER = 30
 
 
-def _check_order(M: int) -> None:
+def _check_order(M) -> int:
+    """M as an int, refused before any work unless it is an integral 1.._MAX_ORDER."""
+    try:
+        M = index(M)
+    except TypeError:
+        raise TypeError(f"order must be an integer, got {M!r}") from None
     # the cap is on the order asked for; the work lengths inside run past it
     if not 1 <= M <= _MAX_ORDER:
         raise ValueError(f"order must lie in 1..{_MAX_ORDER}, got {M}")
+    return M
 
 
 def _in_zeta(g: TruncatedSeries, a: int) -> ExactSeries:
@@ -340,68 +275,68 @@ def _in_zeta(g: TruncatedSeries, a: int) -> ExactSeries:
     )
 
 
+# (a, b) of _solve_map for each direction of the map
+_U_OF_S, _S_OF_U = (1, 0), (0, 1)
+
+
+def _solve_map(work: int, a: int, b: int) -> TruncatedSeries:
+    """The turning-point map in one direction, as v y(v) with work coefficients.
+
+    The map obeys zeta (dzeta/dx)^2 = x^2 - 1, with zeta = 2^(1/3) s and
+    x = 1 + u.  Both directions are v y with y_0 = 1 solving
+
+        (2y + a v y^2)(y + v y')^2 = 2 + b v:
+
+    _U_OF_S = (1, 0) gives u = s y(s), from y (s y + 2)(y + s y')^2 = 2, and
+    _S_OF_U = (0, 1) gives s = u y(u), from 2y (y + u y')^2 = u + 2.
+    Coefficient k of the left side is (4k + 6) y_k plus terms in
+    y_0..y_(k-1), so y_k follows from three convolutions of length k:
+    P = 2y + a v y^2, C = (y + v y')^2 and H = P C, each without its y_k
+    terms.  Y = d y and V_j = (j + 1) Y_j are carried over one common
+    denominator d, P and C over d^2; when y_k needs a new factor of d, every
+    list is rescaled by it.
+    """
+    d, Y, V, P, C = 1, [1], [1], [2], [1]  # y_0 = 1: P_0 = 2, C_0 = 1
+    for k in range(1, work - 1):
+        q = a * sum(map(mul, Y, reversed(Y)))
+        c = sum(map(mul, V[1:], reversed(V[1:])))
+        h = q * C[0] + P[0] * c + sum(map(mul, P[1:], reversed(C[1:])))
+        # the right side 2 + b v has b at k = 1 and 0 past it, so
+        # (4k + 6) y_k = (b [k = 1] d^4 - h) / d^4, and Y_k = d y_k; d = 1 at k = 1
+        yk = Fraction((b if k == 1 else 0) - h, (4 * k + 6) * d**3)
+        r = yk.denominator
+        if r != 1:
+            r2 = r * r
+            d *= r
+            Y = [v * r for v in Y]
+            V = [v * r for v in V]
+            P = [v * r2 for v in P]
+            C = [v * r2 for v in C]
+            q *= r2
+            c *= r2
+        p = yk.numerator
+        Y.append(p)
+        V.append((k + 1) * p)
+        P.append(q + 2 * d * p)
+        C.append(c + 2 * (k + 1) * d * p)
+    return TruncatedSeries(d, ([0] + Y)[:work])
+
+
 def derive_zeta_series(M: int) -> ExactSeries:
     """zeta as a series in u = x - 1, with M coefficients (degrees 0..M-1).
 
-    Built by integrating d(zeta^{3/2})/dx = (3/2) sqrt(x^2-1): the factor
-    sqrt(u(u+2)) splits into u^{1/2} * sqrt(2) * (1+u/2)^{1/2}, the
-    half-integer power is absorbed into zeta^{3/2} = u^{3/2} sqrt(2) T(u),
-    and zeta = 2^{1/3} s(u) with s = u T(u)^{2/3} rational.
+    zeta = 2^(1/3) s(u), and s = u t(u) solves 2t (t + u t')^2 = u + 2, the
+    map's ODE zeta (dzeta/dx)^2 = x^2 - 1 written in u; see _solve_map.
     """
-    _check_order(M)
-    return ExactSeries(tuple(_monomial(c, 1) for c in _s_of_u(M).coeffs))
-
-
-def _s_of_u(M: int) -> TruncatedSeries:
-    """s = 2^(-1/3) zeta = u T(u)^(2/3) as a series in u, M coefficients."""
-    work = M + 2
-    c = TruncatedSeries.from_list([1, Fraction(1, 2)] + [0] * (work - 2)).power(Fraction(1, 2))
-    # T(u) = (3/2) * sum c_k u^k / (k + 3/2) = sum 3 c_k u^k / (2k + 3)
-    lcm = math.lcm(*range(3, 2 * work + 2, 2))
-    T = TruncatedSeries(c.den * lcm, [3 * n * (lcm // (2 * k + 3)) for k, n in enumerate(c.nums)])
-    return T.power(Fraction(2, 3)).shift_up(1).truncate(M)
+    M = _check_order(M)
+    s = _solve_map(M, *_S_OF_U)
+    return ExactSeries(tuple(_monomial(Fraction(n, s.den), 1) for n in s.nums))
 
 
 def derive_inversion_series(M: int) -> ExactSeries:
     """x as a series in zeta (constant term 1), M coefficients."""
-    _check_order(M)
-    return _in_zeta(_u_of_s(M).add_const(1), 0)
-
-
-def _u_of_s(work: int) -> TruncatedSeries:
-    """u = x - 1 as a series in s, work coefficients: the one map of each derivation.
-
-    The map obeys zeta (dzeta/dx)^2 = x^2 - 1, so u = s w solves
-    w (s w + 2)(w + s w')^2 = 2.  Coefficient k of the left side is
-    (4k + 6) w_k plus terms in w_0..w_(k-1), so w_k follows from three
-    convolutions of length k: A = w(s w + 2), C = (w + s w')^2 and H = A C,
-    each without its w_k terms.  W = d w and V_j = (j + 1) W_j are carried
-    over one common denominator d, A and C over d^2; when w_k needs a new
-    factor of d, every list is rescaled by it.
-    """
-    d, W, V, A, C = 1, [1], [1], [2], [1]  # w_0 = 1: A_0 = 2, C_0 = 1
-    for k in range(1, work - 1):
-        a = sum(map(mul, W, reversed(W)))
-        c = sum(map(mul, V[1:], reversed(V[1:])))
-        h = a * C[0] + A[0] * c + sum(map(mul, A[1:], reversed(C[1:])))
-        # (4k + 6) w_k = -h / d^4, and W_k = d w_k
-        wk = Fraction(-h, (4 * k + 6) * d**3)
-        r = wk.denominator
-        if r != 1:
-            r2 = r * r
-            d *= r
-            W = [v * r for v in W]
-            V = [v * r for v in V]
-            A = [v * r2 for v in A]
-            C = [v * r2 for v in C]
-            a *= r2
-            c *= r2
-        p = wk.numerator
-        W.append(p)
-        V.append((k + 1) * p)
-        A.append(a + 2 * d * p)
-        C.append(c + 2 * (k + 1) * d * p)
-    return TruncatedSeries(d, ([0] + W)[:work])
+    M = _check_order(M)
+    return _in_zeta(_solve_map(M, *_U_OF_S).add_const(1), 0)
 
 
 # By the same ODE, B = (x^2 - 1)/zeta = (dzeta/dx)^2, and dx/dzeta =
@@ -422,8 +357,8 @@ def _phi(u: TruncatedSeries, M: int) -> TruncatedSeries:
 
 def derive_phi_series(M: int) -> ExactSeries:
     """phi(zeta) = zeta/(x^2-1) as a series in zeta, M coefficients."""
-    _check_order(M)
-    return _in_zeta(_phi(_u_of_s(M + _PHI_WORK), M), 1)
+    M = _check_order(M)
+    return _in_zeta(_phi(_solve_map(M + _PHI_WORK, *_U_OF_S), M), 1)
 
 
 def _x_and_cube(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -442,14 +377,14 @@ def _b0(u: TruncatedSeries, M: int) -> TruncatedSeries:
 
 def derive_b0_series(M: int) -> ExactSeries:
     """b0(zeta) as a series in zeta (regular: the 1/zeta^2 pole cancels exactly)."""
-    _check_order(M)
-    return _in_zeta(_b0(_u_of_s(M + _B0_WORK), M), -2)
+    M = _check_order(M)
+    return _in_zeta(_b0(_solve_map(M + _B0_WORK, *_U_OF_S), M), -2)
 
 
 def derive_beta_series(M: int) -> ExactSeries:
     """Coefficients beta_m with phi(zeta) b0(zeta) = -sum beta_m zeta^m."""
-    _check_order(M)
-    u = _u_of_s(M + max(_PHI_WORK, _B0_WORK))
+    M = _check_order(M)
+    u = _solve_map(M + max(_PHI_WORK, _B0_WORK), *_U_OF_S)
     # a = 1 for phi plus -2 for b0
     return _in_zeta(-_phi(u, M).mul(_b0(u, M)), -1)
 
@@ -475,14 +410,14 @@ def derive_a1_series(M: int) -> ExactSeries:
     half-integer bookkeeping; their sum must vanish to third order,
     otherwise PoleCancellationFailure signals an implementation bug.
     """
-    _check_order(M)
-    return _in_zeta(_a1(_u_of_s(M + _A1_WORK), M), -3)
+    M = _check_order(M)
+    return _in_zeta(_a1(_solve_map(M + _A1_WORK, *_U_OF_S), M), -3)
 
 
 def derive_nu4_weight_series(M: int) -> ExactSeries:
     """Series of -(1/576) phi (1 + 1152 f2), the order-nu^-4 density weight."""
-    _check_order(M)
-    u = _u_of_s(M + max(_PHI_WORK, _A1_WORK))
+    M = _check_order(M)
+    u = _solve_map(M + max(_PHI_WORK, _A1_WORK), *_U_OF_S)
     # a1 = g/2 with g = _a1(u, M), so 1152 a1 + 3 = 576 g + 3 is rational
     weight = _phi(u, M).mul(_a1(u, M).scale(576).add_const(3))
     return _in_zeta(weight.scale(Fraction(-1, 576)), 1)

@@ -3,16 +3,15 @@
 They take and return the package kernels' (denominator, numerators) pairs,
 but convert them to Fractions and do every operation there (each with its
 gcd).  The package kernels work on integer numerators over one common
-denominator instead.  Series products, inverses, powers and compositions
-are unique, so the two must agree coefficient for coefficient, with ``==``.
+denominator instead.  Series products, powers and compositions are unique,
+so any route to one must agree with these coefficient for coefficient, with
+``==``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from qhotunnel.series import ZeroLeadingTerm
 
 
 def _fractions(pair):
@@ -37,16 +36,6 @@ def _mul(a, b, m):
     return _pair(_mul_fracs(_fractions(a), _fractions(b), m))
 
 
-def _inv(a):
-    a = _fractions(a)
-    if a[0] == 0:
-        raise ZeroLeadingTerm("series inverse needs a nonzero constant term")
-    out = [1 / a[0]]
-    for k in range(1, len(a)):
-        out.append(-sum(a[j] * out[k - j] for j in range(1, k + 1)) / a[0])
-    return _pair(out)
-
-
 def _binomial(t, r: Fraction):
     """t^r for t with constant term 1: k y_k = sum_i (r i t_i y_{k-i}) - sum_i (i y_i t_{k-i})."""
     t = _fractions(t)
@@ -67,5 +56,6 @@ def _compose(f, g, m):
     return _pair(out)
 
 
-# the package has no composition kernel; _compose checks reversions in the tests
-KERNELS = {"_mul": _mul, "_inv": _inv, "_binomial": _binomial}
+# the package has no power or composition kernel: _binomial rebuilds s(u) by
+# powers and _compose checks the reversion u(s) in the tests
+KERNELS = {"_mul": _mul}
