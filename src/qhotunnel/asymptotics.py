@@ -12,6 +12,7 @@ from it the closed forms are used directly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -241,16 +242,22 @@ def uniform_psi_approx(mode: OscillatorMode, x_scaled: float) -> ScaledValue:
 # ---------------------------------------------------------------------------
 
 
-def _check_expansion(nu: float, M: int, top: int) -> None:
+def _check_expansion(nu: float, M: int, top: int) -> int:
+    """M as an int, refused before any work unless it is an integral 1..top and nu a state's."""
+    try:
+        M = operator.index(M)
+    except TypeError:
+        raise TypeError(f"M must be an integer, got {M!r}") from None
     if not 1 <= M <= top:
         raise ValueError(f"M must be 1..{top}")
     if not 1.0 <= nu < math.inf:  # nu = sqrt(2n + 1) >= 1 for every state
         raise DomainError(f"the expansions need finite nu >= 1, got {nu}")
+    return M
 
 
 def integral_phi_ai2_asym(nu: float, M: int) -> ExpansionResult:
     """Watson expansion of the integral of phi(zeta) Ai^2(nu^{4/3} zeta)."""
-    _check_expansion(nu, M, 5)
+    M = _check_expansion(nu, M, 5)
     alphas = _coeffs("phi")
     terms = []
     for m in range(M):
@@ -267,7 +274,7 @@ def integral_phib0_dai2_asym(nu: float, M: int) -> ExpansionResult:
     [Ai^2]' means 2 Ai Ai' evaluated at the stretched argument.  The
     leading term is the boundary contribution at zeta = 0.
     """
-    _check_expansion(nu, M, 4)
+    M = _check_expansion(nu, M, 4)
     betas = _coeffs("beta")
     terms = [(_nu_label(-4.0 / 3.0), betas[0] * (3.0 * nu) ** (-4.0 / 3.0) / _GAMMA_2THIRDS**2)]
     for m in range(1, M):

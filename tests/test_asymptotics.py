@@ -348,6 +348,13 @@ class TestIntegralExpansions:
             with pytest.raises(DomainError, match="finite nu >= 1"):
                 expansion(nu, 3)
 
+    @pytest.mark.parametrize("M", [2.0, 2.5, "2", None])
+    def test_order_must_be_an_integer(self, M):
+        # refused before any work, by an error that names M
+        for expansion in (integral_phi_ai2_asym, integral_phib0_dai2_asym):
+            with pytest.raises(TypeError, match="M must be an integer"):
+                expansion(10.0, M)
+
     def test_sign_is_positive(self):
         # phi*b0 < 0 and [Ai^2]' < 0, so the integrand and hence the whole
         # expansion are positive for every nu

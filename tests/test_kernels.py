@@ -436,24 +436,6 @@ def _window_points(n):
     return nu, 1.3 * nu, _around_sqrt_2n(n)[1]
 
 
-def _window_orders():
-    """0..1199, 200 random n up to 30000, and 10^5, in chunks of about equal cost."""
-    rng = np.random.default_rng(20)
-    drawn = sorted(rng.integers(1200, 30001, 200).tolist())
-    yield from (range(lo, lo + 200) for lo in range(0, 1200, 200))
-    yield from (drawn[i : i + 25] for i in range(0, 200, 25))
-    yield [10**5]
-
-
-@pytest.mark.parametrize("orders", list(_window_orders()), ids=lambda o: f"{o[0]}-{o[-1]}")
-def test_tail_window_gives_the_bits_of_the_full_sum(orders):
-    # at x >= sqrt(2n) the loop sums the tail from the turning-point layer on,
-    # and psi_n and the tail mass keep the bits of the sum over every term
-    for n in orders:
-        for x in _window_points(n):
-            assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), (n, x)
-
-
 def _counting_reruns(monkeypatch):
     """Record the arguments past tail of every _psi_scaled_point call: () for a call, (0,) for a rerun."""
     calls = []
@@ -465,6 +447,33 @@ def _counting_reruns(monkeypatch):
 
     monkeypatch.setattr(oscillator, "_psi_scaled_point", counting)
     return calls
+
+
+def _window_cases():
+    """(n, x) in chunks of about equal cost: the three window points at 0..1199,
+    200 random n up to 30000 and 10^5, then (2 10^5, 2^20) and (10^6, fl nu)."""
+    rng = np.random.default_rng(20)
+    drawn = sorted(rng.integers(1200, 30001, 200).tolist())
+    chunks = [range(lo, lo + 200) for lo in range(0, 1200, 200)]
+    chunks += [drawn[i : i + 25] for i in range(0, 200, 25)] + [[10**5]]
+    for orders in chunks:
+        yield pytest.param([(n, x) for n in orders for x in _window_points(n)], id=f"{orders[0]}-{orders[-1]}")
+    yield pytest.param([(2 * 10**5, 2.0**20), (10**6, math.sqrt(2 * 10**6 + 1))], id="200000-1000000")
+
+
+@pytest.mark.parametrize("points", list(_window_cases()))
+def test_tail_window_gives_the_bits_of_the_full_sum(monkeypatch, points):
+    # at x >= sqrt(2n) the loop sums the tail from the turning-point layer on,
+    # and psi_n and the tail mass keep the bits of the sum over every term;
+    # from n = 10^5 on, where the steps before the window run longest between
+    # rescalings, with no rerun from step 0 (an overflow before the window
+    # would fail the window's check, and the rerun would still give the bits)
+    calls = _counting_reruns(monkeypatch)
+    for n, x in points:
+        calls.clear()
+        assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), (n, x)
+        if n >= 10**5:
+            assert calls == [()], (n, x)
 
 
 @pytest.mark.parametrize("n", [150, 800, 5200])

@@ -116,6 +116,19 @@ class TestScaledValue:
         for exponent in (1025, 1050, 1100):
             assert ScaledValue(sign * 0.75, exponent).to_float() == sign * math.inf
 
+    @pytest.mark.parametrize("gap", [-100, -61, -60, -59, 59, 60, 61, 100, 1100])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rel_diff_across_exponent_gaps(self, gap, sign):
+        # |a - b| / |b| in exact rationals, rounded once; inf only where it overflows a double
+        for ma, mb in ((0.5, 0.5), (0.75, 0.5), (0.5, -0.875)):
+            a, b = ScaledValue(sign * ma, gap), ScaledValue(mb, 0)
+            exact = abs(Fraction(a.mantissa) * 2**gap - Fraction(b.mantissa)) / abs(Fraction(b.mantissa))
+            try:
+                expected = float(exact)
+            except OverflowError:
+                expected = math.inf
+            assert rel_diff(a, b) == pytest.approx(expected, rel=1e-15), (ma, mb)
+
     def test_square_survives_double_underflow(self):
         sq = ScaledValue.from_float(1e-300).square()
         assert sq.mantissa != 0.0
