@@ -34,7 +34,8 @@ from .specialfn import AiryPair, ai_squared_moment, airy, airy_scaled, erfc, gam
 
 __version__ = "0.1.0"
 
-# the eigenfunction kernel, oscillator.psi_scaled_grid, runs in numpy
+# the eigenfunction kernel, oscillator.psi_scaled_grid, runs in Python: plain
+# floats at a float x, numpy ufuncs on a grid
 BACKEND = "python"
 
 __all__ = [

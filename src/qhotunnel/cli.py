@@ -40,20 +40,14 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
-import numpy as np
-
-from . import asymptotics, oscillator, quadrature, series
-from .oscillator import OscillatorMode, ScaledValue, rel_diff
-
-# Unused here, but perfbench/tracer.py wraps qhotunnel.cli.eval_psi, so the
-# name stays bound.
-from .oscillator import eval_psi  # noqa: F401
+from . import asymptotics, quadrature, series
+from .oscillator import OscillatorMode, eval_psi, rel_diff
 
 # --which -> the series family whose derive_<family>_series prints it
 _COEFF_FAMILIES = {"alpha": "phi", "beta": "beta", "a1": "a1", "inversion": "inversion"}
 _VALIDATE_XS = (1.0, 1.1, 1.5, 2.0, 3.0)
-# the largest n measured: from launch, exact about 0.35-0.4 s and validate, whose
-# five points take the float loop, 0.75-1 s (medians of 5 on one core)
+# the largest n measured: from launch, exact about 0.35-0.4 s and validate, five
+# float-x kernel calls, 0.75-1 s (medians of 5 on one core)
 _MAX_N = 10**6
 
 
@@ -132,13 +126,9 @@ def _run_validate(args) -> list[str]:
     lines = []
     for n in args.ns:
         mode = OscillatorMode(n)
-        m, e = oscillator.eval_psi_grid(mode, np.array(_VALIDATE_XS) * mode.nu)
         worst = 0.0
-        for xs, mk, ek in zip(_VALIDATE_XS, m, e):
-            d = rel_diff(
-                asymptotics.uniform_psi_approx(mode, xs),
-                ScaledValue(float(mk), int(ek)),
-            )
+        for xs in _VALIDATE_XS:
+            d = rel_diff(asymptotics.uniform_psi_approx(mode, xs), eval_psi(mode, xs * mode.nu))
             worst = max(worst, d)
         lines.append(f"n={n} max_rel_deviation={worst:.4e}")
     return lines

@@ -33,19 +33,16 @@ arrays and one scratch array, with the roundings of (c1*x)*m - c2*pm in
 that order (no fused multiply-add, no reassociation).  This is the
 package's only kernel; there is no compiled twin.
 
-At a float x, and on a grid of at most _SCALAR_POINTS points, the kernel
-runs the same steps, with the same roundings and, but before a tail
-window (below), the same rescaling points, in plain Python floats, one
-point at a time, where a step costs a fraction of a ufunc call and the
-set-up no array: the seed is _seed's sequence of operations on floats,
-and every point takes the grid's block length, so the values are the
-same bits, at subnormal x too (n = 400 on one point:
-about 0.075 ms, against 3 ms through the ufunc loop; n = 1580 on five
-points: 1.0-1.2 ms, against 3.9-6.6 ms).  A float x goes in and Python
-floats and ints come out, with no grid or result array built (an oracle
-solve at n = 10: about 8 us, against 18 us through a one-point grid).
-With tail=True that loop also sums the tail mass by the ladder identity
-(DLMF §18.9)
+At a float x the kernel runs the same steps, with the same roundings and,
+but before a tail window (below), the same rescaling points, in plain
+Python floats, where a step costs a fraction of a ufunc call and the
+set-up no array: the seed is _seed's sequence of operations on floats, so
+the values are the bits of the one-point grid [x], at subnormal x too
+(n = 400: about 0.06 ms, against 2.8 ms through the ufunc loop).  A float
+x goes in and Python floats and ints come out, with no grid or result
+array built.  Any array, of any size and shape, runs the ufunc loop.
+With tail=True, at a float x only, the float loop also sums the tail mass
+by the ladder identity (DLMF §18.9)
 
     int_x^inf psi_n^2 = erfc(x)/2 + sum_{k<n} psi_k(x) psi_{k+1}(x) / sqrt(2(k+1)),
 
@@ -102,10 +99,6 @@ X_MAX = 2.0**26
 
 _MAX_BLOCK = 64
 _BLOCK_LOG2_RANGE = 450.0  # binary orders a block may drift from [1/2, 1)
-# grids of at most this many points run the float loop, point by point: past
-# 20 to 30 points (median timings at n = 100, 395 and 1580) the ufunc loop
-# costs less
-_SCALAR_POINTS = 16
 # the tail sum at x >= sqrt(2n) starts about this many x^(2/3) steps below n,
 # below the turning-point layer; the terms it leaves out must sum below
 # 2^-_WINDOW_MARGIN of the rest, or the sum reruns from step 0
@@ -208,22 +201,21 @@ def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def psi_scaled_grid(n: int, x: float | np.ndarray, *, tail: bool = False) -> tuple:
     """Scaled psi_n at a float x or on a grid, for every |x| <= X_MAX.
 
-    At a float x (a Python float or a numpy float scalar) the call returns
-    plain Python values: (m, e), a float mantissa and an int exponent, with
-    no grid or result array built.  On a grid it returns (mantissa, exponent)
-    arrays of the grid's shape.  mantissa is 0.0 exactly at zeros of psi_n,
+    At a float x (a Python float or a numpy float scalar) the call runs the
+    steps in plain floats and returns plain Python values: (m, e), a float
+    mantissa and an int exponent, with no grid or result array built.  Any
+    array, of any size and shape, runs the ufunc loop and returns
+    (mantissa, exponent) arrays of its shape; a float x gives the bits of
+    the one-point grid [x].  mantissa is 0.0 exactly at zeros of psi_n,
     with exponent 0 there.  At subnormal x a power-of-two rescaling can
     round, so there the bits also depend on the grid's largest |x|, which
-    sets the block length.  With tail=True, at a float x or on a one-point
-    grid only, the call returns (m, e, tm, te), where the last two are the
-    tail mass int_x^inf psi_n^2 from the same run, normalised the same way;
-    psi_n keeps its bits.  At x >= sqrt(2n) the tail identity's terms grow
-    with k, and the run sums only those from the turning-point layer on,
-    after checking that the terms it leaves out sum below 2^-96 of the
-    rest (and sums them all when they do not; see the module docstring).
-    A float x and a grid of at most _SCALAR_POINTS points run the steps in
-    plain floats, one point at a time; a float x gives the bits of the
-    one-point grid [x].
+    sets the block length.  With tail=True, at a float x only, the call
+    returns (m, e, tm, te), where the last two are the tail mass
+    int_x^inf psi_n^2 from the same run, normalised the same way; psi_n
+    keeps its bits.  At x >= sqrt(2n) the tail identity's terms grow with
+    k, and the run sums only those from the turning-point layer on, after
+    checking that the terms it leaves out sum below 2^-96 of the rest (and
+    sums them all when they do not; see the module docstring).
     """
     if n < 0:
         raise ValueError(f"quantum number must be >= 0, got {n}")
@@ -232,25 +224,15 @@ def psi_scaled_grid(n: int, x: float | np.ndarray, *, tail: bool = False) -> tup
         if not abs(x) <= X_MAX:  # also rejects nan
             raise ValueError(f"psi_n(x) needs |x| <= 2^26, got |x| = {abs(x)}")
         return _psi_scaled_point(n, x, _block_length(abs(x)), *_coefficients(n), tail)
+    if tail:
+        raise ValueError("tail=True needs a float x, got an array")
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if tail and x.size != 1:
-        raise ValueError(f"tail=True needs a one-point grid, got {x.size} points")
-    xs = x.ravel().tolist() if x.size <= _SCALAR_POINTS else None
-    # on a few points float comparisons, which cost less than an array reduction
-    in_range = all(abs(v) <= X_MAX for v in xs) if xs is not None else np.all(np.abs(x) <= X_MAX)
-    if not in_range:  # also rejects nan
+    if not np.all(np.abs(x) <= X_MAX):  # also rejects nan
         raise ValueError(f"psi_n(x) needs |x| <= 2^26, got max |x| = {np.max(np.abs(x))}")
-    if xs is not None:
-        block = _block_length(max(map(abs, xs), default=0.0))
-        c1, c2 = _coefficients(n)
-        points = [_psi_scaled_point(n, v, block, c1, c2, tail) for v in xs]
-        columns = zip(*points) if points else ((), ())  # the empty grid has no points to unzip
-        return tuple(np.array(c, dtype=dtype).reshape(x.shape)
-                     for c, dtype in zip(columns, (np.float64, np.int64) * 2))
     m, e = _seed(x)
     pm = np.zeros_like(m)
     t = np.empty_like(m)
-    block = _block_length(float(np.max(np.abs(x))))
+    block = _block_length(float(np.max(np.abs(x), initial=0.0)))
     steps = zip(*map(memoryview, _coefficients(n)))
     for _ in range(0, n, block):
         for a, b in itertools.islice(steps, block):
@@ -395,6 +377,8 @@ class ScaledValue:
 
     @classmethod
     def from_float(cls, x: float) -> "ScaledValue":
+        if not math.isfinite(x):
+            raise ValueError(f"a scaled value needs a finite float, got {x}")
         if x == 0.0:
             return cls(0.0, 0)
         m, e = math.frexp(x)

@@ -168,6 +168,8 @@ def integrate_decaying(
     fg = _grid_fn(f)
     if first_width is None:
         first_width = min(1.0, 10.0 / a) if a > 1.0 else 1.0
+    elif not 0.0 < first_width < math.inf:  # also rejects nan
+        raise ValueError(f"first_width must be finite and > 0, got {first_width}")
 
     budget = _Budget()
     total = 0.0

@@ -7,13 +7,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhotunnel import cli
 from qhotunnel.asymptotics import FORMS, tunnel_probability_asym
-from qhotunnel.oscillator import OscillatorMode
+from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid
 from qhotunnel.quadrature import tunnel_probability_exact
 
 from ._oracles import FROZEN
@@ -153,6 +154,14 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate")
         assert code == 0
         assert [line.split()[0] for line in out.splitlines()] == ["n=100", "n=400"]
+
+    @pytest.mark.parametrize("n", [1, 52, 208, 400, 1560, 10**4])
+    def test_float_calls_give_the_bits_of_the_grid(self, n):
+        # validate runs the kernel once per point, at a float x; the five-point grid gives the same bits
+        mode = OscillatorMode(n)
+        m, e = eval_psi_grid(mode, np.array(cli._VALIDATE_XS) * mode.nu)
+        points = [eval_psi(mode, xs * mode.nu) for xs in cli._VALIDATE_XS]
+        assert [(v.mantissa.hex(), v.exponent) for v in points] == [(mk.hex(), ek) for mk, ek in zip(m.tolist(), e.tolist())]
 
 
 class TestExitCodes:

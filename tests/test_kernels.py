@@ -46,6 +46,12 @@ def _twin_grids():
         yield n, np.concatenate([xs, [1e3, -1e3, 1e5]])
         yield n, np.array([nu])
         yield n, np.array([])
+    # a column holding +-0.0, +-nu and +-X_MAX, and an empty 2-D grid: the ufunc loop keeps their shapes
+    for n in (0, 1, 64, 65, 800, 5000):
+        nu = (2 * n + 1) ** 0.5
+        fixed = [-0.0, nu, -nu, oscillator.X_MAX, -oscillator.X_MAX]
+        yield n, np.concatenate([fixed, rng.uniform(-nu - 15, nu + 15, 12)]).reshape(-1, 1)
+        yield n, np.zeros((0, 3))
 
 
 @pytest.mark.parametrize("n,xs", list(_twin_grids()))
@@ -53,6 +59,7 @@ def test_block_kernel_matches_per_step_reference(n, xs):
     # block rescaling is by exact powers of two, so the values are identical
     mb, eb = psi_py(n, xs)
     mr, er = psi_ref(n, xs)
+    assert mb.shape == eb.shape == xs.shape
     assert np.array_equal(mb, mr)
     assert eb.dtype == np.int64 and np.array_equal(eb, er)
 
@@ -67,18 +74,21 @@ def test_negative_order_rejected(xs, tail):
 @pytest.mark.parametrize("tail", [False, True])
 @pytest.mark.parametrize("x", [1e200, math.inf, -math.inf, math.nan])
 def test_x_outside_supported_range_rejected(x, tail):
-    # past X_MAX the seed exponent is no longer exact, and at inf or nan it is no integer at all
-    with pytest.raises(ValueError, match="needs"):
-        psi_py(3, np.array([x]), tail=tail)
+    # past X_MAX the seed exponent is no longer exact, and at inf or nan it is no
+    # integer at all; the tail takes a float x, and is refused there for its x
+    with pytest.raises(ValueError, match=r"psi_n\(x\) needs"):
+        psi_py(3, x if tail else np.array([x]), tail=tail)
     if not tail:
-        with pytest.raises(ValueError, match="needs"):
+        with pytest.raises(ValueError, match=r"psi_n\(x\) needs"):
             psi_py(3, np.array([0.5, x]))
 
 
-@pytest.mark.parametrize("xs", [[1.0, 2.0], [[1.0], [2.0]]])
-def test_tail_needs_a_one_point_grid(xs):
-    with pytest.raises(ValueError, match="one-point grid"):
-        psi_py(5, np.array(xs), tail=True)
+@pytest.mark.parametrize("xs", [[1.0, 2.0], [[1.0], [2.0]], [1.0], []])
+def test_tail_needs_a_float_x(xs):
+    # every array is refused, the one-point grid too, before its range is checked
+    for grid in (np.array(xs), np.array(xs) + math.inf):
+        with pytest.raises(ValueError, match="tail=True needs a float x"):
+            psi_py(5, grid, tail=True)
 
 
 def _scaled_mp(m, e):
@@ -87,7 +97,7 @@ def _scaled_mp(m, e):
 
 def _tail(n, x):
     """(psi_n, tail mass) at x as mpmath numbers, from one tail=True call."""
-    m, e, tm, te = (v.item() for v in psi_py(n, np.array([x]), tail=True))
+    m, e, tm, te = psi_py(n, x, tail=True)
     return _scaled_mp(m, e), _scaled_mp(tm, te)
 
 
@@ -101,15 +111,14 @@ def test_tail_at_order_zero_is_half_erfc(x):
 
 @pytest.mark.parametrize("n,xs", list(_twin_grids()))
 def test_tail_comes_with_the_same_bits(n, xs):
-    # one run gives psi_n and its tail mass, on one-point grids only, and psi_n keeps its bits
-    if xs.size != 1:
-        with pytest.raises(ValueError, match="one-point grid"):
-            psi_py(n, xs, tail=True)
-        return
-    for x in (xs[0], -xs[0], 0.3, 1e3, 5e-324):
-        m, e, tm, te = psi_py(n, np.array([x]), tail=True)
-        assert (m[0], e[0]) == _point_bits(n, x)
-        _assert_normalized(tm, te)
+    # one run at a float x gives psi_n and its tail mass, and psi_n keeps the bits
+    # of the grid (at the grid's first and last three points) and of the float x
+    m, e = psi_py(n, xs)
+    points = list(zip(xs.ravel().tolist(), m.ravel().tolist(), e.ravel().tolist()))
+    for x, mk, ek in points[:3] + points[-3:] + [(x, *_point_bits(n, x)) for x in (0.3, 1e3, 5e-324)]:
+        got = psi_py(n, x, tail=True)
+        assert _hex(got[:2]) == _hex([mk, ek]), x
+        assert 0.5 <= got[2] < 1.0, x  # the tail mass is positive and normalised
 
 
 def _tail_mp(n, x):
@@ -129,14 +138,14 @@ def test_tail_matches_quadrature_of_the_density(n, where):
 
 
 def _point_bits(n, x):
-    (m,), (e,) = psi_py(n, np.array([x]))
-    return m, e
+    """(m, e) from the float loop at x."""
+    return psi_py(n, float(x))
 
 
 @pytest.mark.parametrize("n,xs", list(_twin_grids()))
 def test_one_point_loop_matches_per_step_reference(n, xs):
-    # the first 30 random points and every fixed one (0, +-nu, +-1e3, 1e5), then -0.0 and +-X_MAX
-    xs = np.concatenate([xs[:30], xs[300:], [-0.0, oscillator.X_MAX, -oscillator.X_MAX]])
+    # the first 30 points and every fixed one past 300 (0, +-nu, +-1e3, 1e5), then -0.0 and +-X_MAX
+    xs = np.concatenate([xs.ravel()[:30], xs.ravel()[300:], [-0.0, oscillator.X_MAX, -oscillator.X_MAX]])
     mr, er = psi_ref(n, xs)
     assert [_point_bits(n, x) for x in xs.tolist()] == list(zip(mr.tolist(), er.tolist()))
 
@@ -144,29 +153,28 @@ def test_one_point_loop_matches_per_step_reference(n, xs):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 65, 100])
 @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310, -1e-310])
 def test_one_point_loop_matches_ufunc_loop_at_subnormal_x(n, x):
-    # the per-step reference overflows here; _SCALAR_POINTS + 1 copies of x are too many
-    # for the float loop, so they run the ufunc steps
-    m, e = psi_py(n, np.full(oscillator._SCALAR_POINTS + 1, x))
+    # the per-step reference overflows here; the one-point grid [x] runs the ufunc steps
+    m, e = psi_py(n, np.array([x]))
     assert _point_bits(n, x) == (m[0], e[0])
-
 
 
 @pytest.mark.parametrize("n", [63, 65])
 def test_float_loop_takes_the_grid_block_length_at_subnormal_x(n):
     # a rescaling rounds at subnormal x, so there the bits depend on the block
-    # length, which the grid's largest |x| sets, on either route
-    few = np.array([1e-310, oscillator.X_MAX])
-    many = np.concatenate([few, np.full(oscillator._SCALAR_POINTS, oscillator.X_MAX)])
-    m, e = psi_py(n, few)
-    mu, eu = psi_py(n, many)
-    assert (m[0], e[0]) == (mu[0], eu[0]) != _point_bits(n, 1e-310)
+    # length, which the grid's largest |x| sets; given that length, the float
+    # loop gives the grid's bits
+    m, e = psi_py(n, np.array([1e-310, oscillator.X_MAX]))
+    block = oscillator._block_length(oscillator.X_MAX)
+    point = oscillator._psi_scaled_point(n, 1e-310, block, *oscillator._coefficients(n), False)
+    assert point == (m[0], e[0]) != _point_bits(n, 1e-310)
+
 
 def _route_grids():
-    """Grids of _SCALAR_POINTS and _SCALAR_POINTS + 1 points, on either side of the float loop's route."""
+    """Grids of 5 and 20 points holding -0.0 and +-nu or +-X_MAX, flat and as a column, and an empty 2-D grid."""
     rng = np.random.default_rng(18)
     for n in (0, 1, 64, 65, 800, 5000):
         nu = math.sqrt(2 * n + 1)
-        for size in (oscillator._SCALAR_POINTS, oscillator._SCALAR_POINTS + 1):
+        for size in (5, 20):
             for fixed in ([-0.0, nu, -nu], [-0.0, oscillator.X_MAX, -oscillator.X_MAX]):
                 xs = np.concatenate([fixed, rng.uniform(-nu - 15, nu + 15, size - len(fixed))])
                 yield n, xs
@@ -176,16 +184,20 @@ def _route_grids():
 
 @pytest.mark.parametrize("n,xs", list(_route_grids()))
 def test_grids_on_either_side_of_the_route_match_per_step_reference(n, xs):
+    # the same points on either side of the route, as one grid through the ufunc
+    # loop and one float x at a time through the float loop, give the per-step
+    # reference's bits, and the grid's values keep its shape
     m, e = psi_py(n, xs)
     mr, er = psi_ref(n, xs)
     assert m.shape == e.shape == xs.shape and e.dtype == np.int64
     assert np.array_equal(m, mr) and np.array_equal(e, er)
-    with pytest.raises(ValueError, match="one-point grid"):
-        psi_py(n, xs, tail=True)
+    ref = zip(mr.ravel().tolist(), er.ravel().tolist())
+    assert [_hex(_point_bits(n, x)) for x in xs.ravel().tolist()] == [_hex(p) for p in ref]
 
 
-@pytest.mark.parametrize("size", [0, 1, 5, oscillator._SCALAR_POINTS, oscillator._SCALAR_POINTS + 1, 100])
+@pytest.mark.parametrize("size", [0, 1, 5, 16, 17, 100])
 def test_only_grids_past_the_float_route_call_the_array_seed(monkeypatch, size):
+    # every grid, of any size, calls _seed once, and a float x never does
     sizes = []
     seed = oscillator._seed
 
@@ -195,7 +207,10 @@ def test_only_grids_past_the_float_route_call_the_array_seed(monkeypatch, size):
 
     monkeypatch.setattr(oscillator, "_seed", counting)
     psi_py(7, np.linspace(0.5, 3.0, size))
-    assert sizes == ([size] if size > oscillator._SCALAR_POINTS else [])
+    assert sizes == [size]
+    psi_py(7, 0.5)
+    psi_py(7, np.float64(0.5), tail=True)
+    assert sizes == [size]
 
 
 def test_float_seed_matches_array_seed():
@@ -213,10 +228,9 @@ def test_float_seed_matches_array_seed():
     assert [oscillator._seed_point(x) for x in xs.tolist()] == list(zip(m.tolist(), e.tolist()))
 
 
-def test_one_point_loop_keeps_the_grid_shape():
+def test_one_point_grid_keeps_its_shape():
     m, e = psi_py(40, np.array([[3.0]]))
     assert m.shape == e.shape == (1, 1) and e.dtype == np.int64
-    assert [v.shape for v in psi_py(40, np.array([[3.0]]), tail=True)] == [(1, 1)] * 4
     assert (m[0, 0], e[0, 0]) == _point_bits(40, 3.0)
 
 
@@ -239,14 +253,13 @@ def test_float_x_gives_the_bits_of_the_one_point_grid(n):
     xs = [0.0, -0.0, 5e-324, -1e-310, nu, -nu, 1.3 * nu, -1.3 * nu, oscillator.X_MAX, -oscillator.X_MAX]
     xs += [np.float64(np.random.default_rng(n).uniform(-nu - 5.0, nu + 5.0)), 2.5, -2.5]
     for x in xs:
-        grid = psi_py(n, np.array([x]))
+        grid = _hex(v.item() for v in psi_py(n, np.array([x])))
         got = psi_py(n, x)
         assert [type(v) for v in got] == [float, int]
-        assert _hex(got) == _hex(v.item() for v in grid)
-        grid = psi_py(n, np.array([x]), tail=True)
+        assert _hex(got) == grid
         got = psi_py(n, x, tail=True)
         assert [type(v) for v in got] == [float, int, float, int]
-        assert _hex(got) == _hex(v.item() for v in grid)
+        assert _hex(got[:2]) == grid
 
 
 @pytest.mark.parametrize("tail", [False, True])
@@ -303,8 +316,8 @@ def test_table_far_past_n_gives_the_bits_of_n_steps(monkeypatch, n):
         (mr,), (er,) = psi_ref(n, np.array([x]))
         assert _hex(psi_py(n, x)) == _hex([mr.item(), er.item()]), x
         assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), x
-    # and on grids either side of the float route
-    for size in (len(xs), oscillator._SCALAR_POINTS + 1):
+    # and on grids
+    for size in (1, len(xs)):
         grid = np.resize(xs, size)
         m, e = psi_py(n, grid)
         mr, er = psi_ref(n, grid)

@@ -97,6 +97,11 @@ class TestScaledValue:
     def test_zero_canonical(self):
         assert ScaledValue.from_float(0.0) == ScaledValue(0.0, 0)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            ScaledValue.from_float(x)
+
     def test_round_trip(self):
         for v in (1.0, -0.75, 3.14159e-200, -2.5e250):
             sv = ScaledValue.from_float(v)

@@ -58,6 +58,19 @@ class TestIntegrateDecaying:
         for a, b in ((bad, 1.0), (0.0, bad)):
             with pytest.raises(ValueError, match="bounds must be finite"):
                 integrate_finite(lambda x: np.exp(-x), a, b)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_first_width_rejected_before_any_call(self, width):
+        # a zero width once summed nothing and stopped at 0.0, a negative or nan one recursed without end
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.exp(-x)
+
+        with pytest.raises(ValueError, match="first_width"):
+            integrate_decaying(f, 0.0, 1e-12, first_width=width)
+        assert calls == []
         # an int bound past int64 is still a finite double
         assert integrate_decaying(lambda x: np.exp(-x), 10**300).value == 0.0
 
@@ -114,8 +127,8 @@ class TestIntegrateDecaying:
         # the kernel's tail identity is an exact reference for the integral of psi_n^2 over [a, inf)
         mode = OscillatorMode(n)
         a = frac * (mode.nu + 3.0)
-        _, _, tm, te = oscillator.psi_scaled_grid(n, np.array([a]), tail=True)
-        exact = math.ldexp(tm.item(), te.item())
+        _, _, tm, te = oscillator.psi_scaled_grid(n, a, tail=True)
+        exact = math.ldexp(tm, te)
         r = integrate_decaying(lambda xs: density_floats(mode, xs), a, 1e-12)
         assert abs(r.value - exact) <= 1e-12 * max(abs(exact), 1.0)
 
