@@ -38,7 +38,8 @@ but before a tail window (below), the same rescaling points, in plain
 Python floats, where a step costs a fraction of a ufunc call and the
 set-up no array: the seed is _seed's sequence of operations on floats, so
 the values are the bits of the one-point grid [x], at subnormal x too
-(n = 400: about 0.06 ms, against 2.8 ms through the ufunc loop).  A float
+(n = 400: about 0.06 ms, against 2.8 ms through the ufunc loop), except
+where the steps before a long tail window run two orders a turn (below).  A float
 x goes in and Python floats and ints come out, with no grid or result
 array built.  Any array, of any size and shape, runs the ufunc loop.
 With tail=True, at a float x only, the float loop also sums the tail mass
@@ -74,12 +75,47 @@ before the window's first step k0 sum to at most k0 sqrt(2) x psi_{k0}^2
 sum is a lower bound on the tail.  After the loop the two bounds are
 compared by their frexp exponents; unless the first is below 2^-96
 (_WINDOW_MARGIN) of the second, the loop runs again and sums from step 0.
-The check, not the width 16, carries the result.  The window's sum has
-had the full sum's bits wherever it was compared (every n to 1200 and 201
-more to 10^5, in the tests), psi_n keeps its bits either way, and at
-n = 5200 to 9800 a solve takes about a fifth less time.  At x < sqrt(2n),
-at x <= 0, and where the window's block is the first (at fl(nu), every
-n up to 177), the loop sums from step 0.
+The check, not the width 16, carries the result.  Where the steps before
+the window run one a turn, the window's sum has had the full sum's bits
+wherever it was compared (every n to 1200 and 201 more to 10^5, in the
+tests), and psi_n keeps the grid's bits either way.  At x < sqrt(2n), at
+x <= 0, and where the window's block is the first (at fl(nu), every n up
+to 177), the loop sums from step 0.
+
+From _TWO_STEP_MIN = 1024 steps before the window on, those steps run two
+orders a turn, by the recurrence in even-odd form (x^2 psi_k from
+x psi_k = sqrt((k+1)/2) psi_{k+1} + sqrt(k/2) psi_{k-1} applied twice;
+Gil, Segura & Temme, ch. 4)
+
+    psi_{k+2} = alpha_k psi_k - c_k psi_{k-2},   alpha_k = a_k (x^2 - k - 1/2),
+    a_k = 2/sqrt((k+1)(k+2)),   c_k = sqrt(k(k-1)/((k+1)(k+2))),
+
+on the chain of the window start's parity, from psi_0 or from
+psi_1 = fl(x c1[0]) psi_0.  Then psi_{start-1} =
+(psi_start + c2[start-1] psi_{start-2}) / fl(x c1[start-1]), with no
+cancellation, as every term is positive.  A turn's ratio
+psi_{k+2}/psi_k = r_{k+1} r_k lies between 1 and alpha_k, because
+c_k psi_{k-2} / psi_k > 0, and alpha_k > 2 falls with k, as
+x^2 - k - 1/2 >= k + 3/2 > sqrt((k+1)(k+2)) there; so the turns rescale
+after runs of floor(900 / log2(alpha_k)) turns, as the steps do (13
+rescalings at fl(nu) and n = 7000, 1671 at 10^6).  a_k and c_k are a
+second per-process table; alpha_k depends on x and is formed per call in
+numpy, rounded once from a_k times the exact x^2 - k - 1/2
+(_two_step_turns).  A form that rounds x^2's low part away first, such as
+a_k fl(x^2 - k - 1/2 + lo), errs the same way at every k: the oracle then
+read -1.5e-13 at n = 2000 and +5.1e-13 at 9800 against the frozen P_n.
+Rounded once, half as many turns as there were steps, each with one
+rounded coefficient, move the oracle's error at fl(nu) from -4.2e-14 to
+-5.2e-15 at n = 2000, -2.3e-14 to -1.5e-14 at 5200, -2.1e-14 to +1.3e-14
+at 9800 and -3.0e-13 to -2.6e-14 at 10^5.  psi_n then has its own bits,
+not the grid's; the tests pin them to a per-step reference of the
+two-step route.  Forming alpha costs about 20 ufunc calls (20-40 us at
+n = 7000), and a turn about what a step costs, so the turns pay from about
+400-650 steps before the window on.  _TWO_STEP_MIN = 1024 leaves a margin
+and keeps the one-step route and its bits up to n = 1272 at fl(nu), so
+for every row of the paper's table (n <= 800, at most 603 steps before
+the window).  At n = 5200 to 9800 a solve takes about 30% less time than
+with one step a turn.
 """
 
 from __future__ import annotations
@@ -104,6 +140,9 @@ _BLOCK_LOG2_RANGE = 450.0  # binary orders a block may drift from [1/2, 1)
 # 2^-_WINDOW_MARGIN of the rest, or the sum reruns from step 0
 _WINDOW = 16
 _WINDOW_MARGIN = 96
+# from this many steps before the tail window on, they run two orders a turn;
+# below about 400-650 forming the turns' coefficients costs more than it saves
+_TWO_STEP_MIN = 1024
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for binary64
 HALF_LOG2E_HI = 0.7213475204444817  # 1/(2 ln 2) as hi + lo
@@ -192,6 +231,71 @@ def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     return c1[:n], c2[:n]
 
 
+# the two-step recurrence's a[k] and c[k] (module docstring), grown like _TABLE
+# but only by the calls that take two steps a turn
+_TWO_STEP_TABLE = (np.empty(0), np.empty(0))
+
+
+def _two_step_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """a[k] = 2/sqrt((k+1)(k+2)) and c[k] = sqrt(k(k-1)/((k+1)(k+2))), for k < n.
+
+    Read-only prefix views of the process's table.
+    """
+    global _TWO_STEP_TABLE
+    a, c = _TWO_STEP_TABLE
+    if n > a.size:
+        # in place: three arrays at the peak, not five (24 against 40 MB at n = 10^6)
+        k = np.arange(max(n, 2 * a.size), dtype=np.float64)
+        a = k + 1.0
+        a *= k + 2.0  # (k + 1)(k + 2), exact below k = 9e7, as is k (k - 1)
+        c = k - 1.0
+        c *= k
+        c /= a
+        np.sqrt(c, out=c)
+        np.sqrt(a, out=a)
+        np.divide(2.0, a, out=a)
+        a.flags.writeable = c.flags.writeable = False
+        _TWO_STEP_TABLE = a, c
+    return a[:n], c[:n]
+
+
+def _two_step_turns(x: float, p: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha[k] = a[k] (x^2 - k - 1/2) and c[k] for k = p, p + 2, .., start - 2.
+
+    alpha is rounded once from a[k] times the exact x^2 - k - 1/2: with
+    x^2 = h + lo by two_prod, d = h - (k + 1/2) is exact, a d = q + qe by
+    two_prod, and alpha = fl(q + (qe + a lo)).  lo enters the product's
+    error term, not the difference, whose rounding would lean the same way
+    at every k.  two_prod(a, d) runs here in place, on five arrays, not the
+    dozen it allocates, which at n = 10^6 hold 4 MB each.
+    """
+    a, c = _two_step_coefficients(start - 1)
+    a, c = a[p::2], c[p::2]
+    h, lo = two_prod(x, x)
+    d = np.arange(p, start - 1, 2, dtype=np.float64)
+    d += 0.5
+    np.subtract(h, d, out=d)  # exact: k + 1/2 < h <= 2^52, both multiples of min(ulp(h), 1/2)
+    q = a * d
+    # Dekker's splits: a = ahi + alo and d = dhi + dlo, dlo in d's storage
+    ahi = _SPLIT * a
+    alo = ahi - a
+    ahi -= alo
+    np.subtract(a, ahi, out=alo)
+    dhi = _SPLIT * d
+    t = dhi - d
+    dhi -= t
+    d -= dhi
+    # qe = ((ahi dhi - q) + ahi dlo + alo dhi) + alo dlo, then + a lo, then + q
+    qe = ahi * dhi
+    qe -= q
+    qe += np.multiply(ahi, d, out=ahi)
+    qe += np.multiply(alo, dhi, out=dhi)
+    qe += np.multiply(alo, d, out=alo)
+    qe += np.multiply(a, lo, out=t)
+    qe += q
+    return qe, c
+
+
 def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, e) with m in [1/2, 1), or (0.0, 0) where m is 0."""
     m, de = np.frexp(m)
@@ -211,11 +315,13 @@ def psi_scaled_grid(n: int, x: float | np.ndarray, *, tail: bool = False) -> tup
     round, so there the bits also depend on the grid's largest |x|, which
     sets the block length.  With tail=True, at a float x only, the call
     returns (m, e, tm, te), where the last two are the tail mass
-    int_x^inf psi_n^2 from the same run, normalised the same way; psi_n
-    keeps its bits.  At x >= sqrt(2n) the tail identity's terms grow with
+    int_x^inf psi_n^2 from the same run, normalised the same way.  At
+    x >= sqrt(2n) the tail identity's terms grow with
     k, and the run sums only those from the turning-point layer on, after
     checking that the terms it leaves out sum below 2^-96 of the rest (and
-    sums them all when they do not; see the module docstring).
+    sums them all when they do not; see the module docstring).  psi_n
+    keeps the grid's bits, unless 1024 steps or more come before that
+    window: those run two orders a turn, with their own roundings.
     """
     if n < 0:
         raise ValueError(f"quantum number must be >= 0, got {n}")
@@ -226,10 +332,13 @@ def psi_scaled_grid(n: int, x: float | np.ndarray, *, tail: bool = False) -> tup
         return _psi_scaled_point(n, x, _block_length(abs(x)), *_coefficients(n), tail)
     if tail:
         raise ValueError("tail=True needs a float x, got an array")
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    shape = np.shape(x)
+    x = np.ascontiguousarray(x, dtype=np.float64)  # 1-d at a 0-d x, so the steps can write into it
     if not np.all(np.abs(x) <= X_MAX):  # also rejects nan
         raise ValueError(f"psi_n(x) needs |x| <= 2^26, got max |x| = {np.max(np.abs(x))}")
     m, e = _seed(x)
+    if not m.size:  # no point to step
+        return m.reshape(shape), e.reshape(shape)
     pm = np.zeros_like(m)
     t = np.empty_like(m)
     block = _block_length(float(np.max(np.abs(x), initial=0.0)))
@@ -249,50 +358,83 @@ def psi_scaled_grid(n: int, x: float | np.ndarray, *, tail: bool = False) -> tup
         np.negative(s, s)
         np.ldexp(m, s, m)
         np.ldexp(pm, s, pm)
-    return _normalized(m, e)
+    m, e = _normalized(m, e)
+    return m.reshape(shape), e.reshape(shape)
+
+
+def _window_start(n: int, x: float, block: int) -> int:
+    """The first step of the tail sum at a float x: that of the block holding step n - 1 - _WINDOW x^(2/3).
+
+    0 where the terms before it could reach the sum: at x < sqrt(2n) and at
+    x <= 0, where the terms need not grow with k (module docstring), and
+    where that block is the first.
+    """
+    if n > block and x > 0.0 and x * x >= 2 * n:
+        start = n - 1 - int(_WINDOW * x ** (2.0 / 3.0))
+        if start >= block:
+            return start - start % block
+    return 0
+
+
+def _grown(mf: float, pm: float, ef: int, a: np.ndarray, b: np.ndarray) -> tuple[float, float, int]:
+    """The pair (mf, pm) on exponent ef after the steps mf, pm = a[k] mf - b[k] pm, mf for every k.
+
+    The pair is positive and grows by at most a[k] at step k, and a[k] >= 2
+    falls with k (module docstring), so a run of 2 _BLOCK_LOG2_RANGE /
+    log2(a[k]) steps from step k keeps it within the window products'
+    2^900; the pair is rescaled after each run, not each block.
+    """
+    a, b = memoryview(a), memoryview(b)
+    k = 0
+    while k < len(a):
+        run = int(2 * _BLOCK_LOG2_RANGE // math.log2(a[k]))
+        for u, v in zip(a[k : k + run], b[k : k + run]):
+            mf, pm = u * mf - pm * v, mf
+        k += run
+        _, sh = math.frexp(max(mf, pm))
+        ef += sh
+        mf, pm = math.ldexp(mf, -sh), math.ldexp(pm, -sh)
+    return mf, pm, ef
 
 
 def _psi_scaled_point(n: int, x: float, block: int, c1: np.ndarray, c2: np.ndarray, tail: bool,
                       start: int | None = None) -> tuple:
     """psi_scaled_grid's steps at one point x, in plain floats: (m, e), or (m, e, tm, te) with tail.
 
-    Without tail start is n, and every step runs in blocks of block steps.
-    With tail the blocks from step start on also sum the tail, and start is
-    the first step of a block: by default the predicted window's, and 0 when
-    the terms before it could reach the sum; the steps before it rescale
-    after runs sized on their growth bound (module docstring), not blocks.
+    Without tail every step runs in blocks of block steps.  With tail the
+    blocks from step start on also sum the tail, and start is the first
+    step of a block, by default _window_start's.  The steps before it form
+    no product and rescale after runs sized on their growth bound (module
+    docstring), not blocks; from _TWO_STEP_MIN of them on they run two
+    orders a turn.
     """
-    if not tail:
-        start = n
-    elif start is None:
-        start = 0
-        # the terms grow with k (module docstring): the window is the block
-        # that holds step n - 1 - _WINDOW x^(2/3) and the rest, and only past
-        # the first block is there a window to predict
-        if n > block and x > 0.0 and x * x >= 2 * n:
-            start = n - 1 - int(_WINDOW * x ** (2.0 / 3.0))
-            start = start - start % block if start >= block else 0
     m0, e0 = _seed_point(x)
     mf, ef, pm, s = m0, e0, 0.0, 0.0
-    # fl(x c1[k]) in one multiply: the doubles of the grid loop's first product
-    steps = zip(memoryview(x * c1), memoryview(c2))
-    k = 0
-    while k < start:
-        if tail:
-            # before the window the pair grows by at most a_k = x c1[k] a step and
-            # a_k falls with k (module docstring): a run of 2 _BLOCK_LOG2_RANGE /
-            # log2(a_k) steps keeps it within the window products' 2^900
-            run = min(start - k, int(2 * _BLOCK_LOG2_RANGE // math.log2(x * math.sqrt(2.0 / (k + 1)))))
-        else:
-            run = block
-        for a, b in itertools.islice(steps, run):
-            mf, pm = a * mf - pm * b, mf
-        k += run
-        _, sh = math.frexp(max(abs(mf), abs(pm)))
-        ef += sh
-        mf, pm = math.ldexp(mf, -sh), math.ldexp(pm, -sh)
     if not tail:
+        # fl(x c1[k]) in one multiply: the doubles of the grid loop's first product
+        steps = zip(memoryview(x * c1), memoryview(c2))
+        for _ in range(0, n, block):
+            for a, b in itertools.islice(steps, block):
+                mf, pm = a * mf - pm * b, mf
+            _, sh = math.frexp(max(abs(mf), abs(pm)))
+            ef += sh
+            mf, pm = math.ldexp(mf, -sh), math.ldexp(pm, -sh)
         return _normalized_float(mf, ef)
+    if start is None:
+        start = _window_start(n, x, block)
+    if start >= _TWO_STEP_MIN:
+        # psi_start two orders a turn, on the chain of start's parity: from
+        # psi_0, or from psi_1 = fl(x c1[0]) psi_0, the first step's bits
+        p = start % 2
+        if p:
+            mf = x * c1[0].item() * m0
+        mf, pm, ef = _grown(mf, pm, ef, *_two_step_turns(x, p, start))
+        # then psi_{start-1} from psi_start = a psi_{start-1} - b psi_{start-2}, a sum
+        # of positive terms
+        pm = (mf + c2[start - 1].item() * pm) / (x * c1[start - 1].item())
+    else:
+        mf, pm, ef = _grown(mf, pm, ef, x * c1[:start], c2[:start])
+    steps = zip(memoryview(x * c1[start:]), memoryview(c2[start:]))
     ef_start = ef
     for _ in range(start, n, block):
         for a, b in itertools.islice(steps, block):
@@ -446,17 +588,17 @@ def eval_psi_grid(mode: OscillatorMode, x: np.ndarray) -> tuple[np.ndarray, np.n
     kernel runs once on the distinct |x|, and the values are gathered back
     and, for odd n, negated where x < 0.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     negative = x < 0.0
     if not negative.any():
         return psi_scaled_grid(mode.n, x)
     distinct, inverse = np.unique(np.abs(x), return_inverse=True)
     m, e = psi_scaled_grid(mode.n, distinct)
-    inverse = inverse.reshape(x.shape)
-    m, e = m[inverse], e[inverse]
+    # gathered flat, so that a 0-d x too gives arrays to negate in place
+    m, e = m[inverse.ravel()], e[inverse.ravel()]
     if mode.n % 2:
-        np.negative(m, out=m, where=negative)
-    return m, e
+        np.negative(m, out=m, where=negative.ravel())
+    return m.reshape(x.shape), e.reshape(x.shape)
 
 
 def density_floats(mode: OscillatorMode, x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from qhotunnel.oscillator import psi_scaled_grid as psi_py
 from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid
 
 from ._per_step_kernel import psi_scaled_grid as psi_ref
-from ._per_step_kernel import tail_point
+from ._per_step_kernel import tail_point, two_step_point
 
 
 def test_backend_reported():
@@ -109,15 +109,33 @@ def test_tail_at_order_zero_is_half_erfc(x):
         assert abs(t / (mpmath.erfc(x) / 2) - 1) <= 4e-16
 
 
+def _two_step_start(n, x):
+    """The tail route's window start at a float x where the steps before it run two a turn, else None."""
+    start = oscillator._window_start(n, x, oscillator._block_length(abs(x)))
+    return start if start >= oscillator._TWO_STEP_MIN else None
+
+
+def _tail_bits(n, x):
+    """The tail route's (m, e, tm, te) at a float x, unless the window's check reruns it from step 0."""
+    start = _two_step_start(n, x)
+    return tail_point(n, x) if start is None else two_step_point(n, x, start)
+
+
 @pytest.mark.parametrize("n,xs", list(_twin_grids()))
 def test_tail_comes_with_the_same_bits(n, xs):
     # one run at a float x gives psi_n and its tail mass, and psi_n keeps the bits
-    # of the grid (at the grid's first and last three points) and of the float x
+    # of the grid (at the grid's first and last three points) and of the float x;
+    # where the steps before the window run two a turn, psi_n has the bits of the
+    # two-step reference instead
     m, e = psi_py(n, xs)
     points = list(zip(xs.ravel().tolist(), m.ravel().tolist(), e.ravel().tolist()))
     for x, mk, ek in points[:3] + points[-3:] + [(x, *_point_bits(n, x)) for x in (0.3, 1e3, 5e-324)]:
         got = psi_py(n, x, tail=True)
-        assert _hex(got[:2]) == _hex([mk, ek]), x
+        start = _two_step_start(n, x)
+        if start is None:
+            assert _hex(got[:2]) == _hex([mk, ek]), x
+        else:
+            assert _hex(got) == _hex(two_step_point(n, x, start)), x
         assert 0.5 <= got[2] < 1.0, x  # the tail mass is positive and normalised
 
 
@@ -232,6 +250,22 @@ def test_one_point_grid_keeps_its_shape():
     m, e = psi_py(40, np.array([[3.0]]))
     assert m.shape == e.shape == (1, 1) and e.dtype == np.int64
     assert (m[0, 0], e[0, 0]) == _point_bits(40, 3.0)
+    # a 0-d grid, and through eval_psi_grid at either sign, where it gathers and negates
+    for n, x in [(40, 3.0), (41, 3.0), (41, -3.0)]:
+        for got in (psi_py(n, np.array(x)), eval_psi_grid(OscillatorMode(n), np.array(x))):
+            assert got[0].shape == got[1].shape == () and got[1].dtype == np.int64
+            assert (got[0].item(), got[1].item()) == _point_bits(n, x)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_empty_grid_returns_before_any_step(monkeypatch, shape):
+    # no coefficient is read and no step runs, however large n is
+    def refuse(n):
+        raise AssertionError(f"coefficients read for an empty grid at n = {n}")
+
+    monkeypatch.setattr(oscillator, "_coefficients", refuse)
+    for m, e in (psi_py(10**6, np.zeros(shape)), eval_psi_grid(OscillatorMode(10**6), np.zeros(shape))):
+        assert m.shape == e.shape == shape and e.dtype == np.int64
 
 
 def _hex(values):
@@ -259,7 +293,11 @@ def test_float_x_gives_the_bits_of_the_one_point_grid(n):
         assert _hex(got) == grid
         got = psi_py(n, x, tail=True)
         assert [type(v) for v in got] == [float, int, float, int]
-        assert _hex(got[:2]) == grid
+        start = _two_step_start(n, float(x))
+        if start is None:
+            assert _hex(got[:2]) == grid
+        else:  # the steps before the window run two a turn, with their own roundings
+            assert _hex(got) == _hex(two_step_point(n, float(x), start))
 
 
 @pytest.mark.parametrize("tail", [False, True])
@@ -326,10 +364,12 @@ def test_table_far_past_n_gives_the_bits_of_n_steps(monkeypatch, n):
 
 def test_coefficient_table_is_read_only():
     c1, c2 = oscillator._coefficients(50)
-    for c in (c1, c2, *oscillator._TABLE):
+    a, c = oscillator._two_step_coefficients(50)
+    for t in (c1, c2, *oscillator._TABLE, a, c, *oscillator._TWO_STEP_TABLE):
         with pytest.raises(ValueError, match="read-only"):
-            c[0] = 1.0
+            t[0] = 1.0
     assert c1[0] == math.sqrt(2.0) and c2[0] == 0.0
+    assert a[0] == 2.0 / math.sqrt(2.0) and c[0] == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 100])
@@ -477,16 +517,32 @@ def _window_cases():
 @pytest.mark.parametrize("points", list(_window_cases()))
 def test_tail_window_gives_the_bits_of_the_full_sum(monkeypatch, points):
     # at x >= sqrt(2n) the loop sums the tail from the turning-point layer on,
-    # and psi_n and the tail mass keep the bits of the sum over every term;
-    # from n = 10^5 on, where the steps before the window run longest between
-    # rescalings, with no rerun from step 0 (an overflow before the window
-    # would fail the window's check, and the rerun would still give the bits)
+    # and psi_n and the tail mass keep the bits of the sum over every term,
+    # where the steps before the window run one a turn, and those of the
+    # two-step reference's window where they run two; from n = 10^5 on, where
+    # the steps before the window run longest between rescalings, with no
+    # rerun from step 0 (an overflow before the window would fail the
+    # window's check, and the rerun would give the full sum's bits)
     calls = _counting_reruns(monkeypatch)
     for n, x in points:
         calls.clear()
-        assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), (n, x)
+        assert _hex(psi_py(n, x, tail=True)) == _hex(_tail_bits(n, x)), (n, x)
         if n >= 10**5:
             assert calls == [()], (n, x)
+
+
+@pytest.mark.parametrize("n", [1500, 5200, 30000])
+def test_steps_run_two_a_turn_from_the_set_pre_window_length(monkeypatch, n):
+    # these n at fl(nu) run two steps a turn; the same window start one step
+    # short of _TWO_STEP_MIN runs one, with the full sum's bits, and at
+    # _TWO_STEP_MIN two, with other bits
+    x = math.sqrt(2 * n + 1)
+    start = oscillator._window_start(n, x, oscillator._block_length(x))
+    assert _two_step_start(n, x) == start
+    monkeypatch.setattr(oscillator, "_TWO_STEP_MIN", start + 1)
+    assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x))
+    monkeypatch.setattr(oscillator, "_TWO_STEP_MIN", start)
+    assert _hex(psi_py(n, x, tail=True)) == _hex(two_step_point(n, x, start)) != _hex(tail_point(n, x))
 
 
 @pytest.mark.parametrize("n", [150, 800, 5200])
