@@ -12,7 +12,9 @@ thousands of binary orders.
 
 The kernel, psi_scaled_grid, runs the recurrence in numpy on a grid of
 positions.  It is seeded by psi_0(x) = pi^{-1/4} e^{-x^2/2}, whose base-2
-logarithm is split with Dekker's exact product (the package's only one).
+logarithm is split with Dekker's exact product, two_prod, the package's
+only one: it also forms the two-step coefficients (below) and the
+oracle's sliver, and it works in place on arrays.
 The pair (psi_k, psi_{k-1}) is carried as two mantissa arrays sharing one
 base-2 exponent array, and is rescaled by a power of two, taken from the
 larger of the two, once every B steps (block renormalisation; Gil, Segura
@@ -109,7 +111,7 @@ rounded coefficient, move the oracle's error at fl(nu) from -4.2e-14 to
 -5.2e-15 at n = 2000, -2.3e-14 to -1.5e-14 at 5200, -2.1e-14 to +1.3e-14
 at 9800 and -3.0e-13 to -2.6e-14 at 10^5.  psi_n then has its own bits,
 not the grid's; the tests pin them to a per-step reference of the
-two-step route.  Forming alpha costs about 20 ufunc calls (20-40 us at
+two-step route.  Forming alpha costs 22 ufunc calls (about 37 us at
 n = 7000), and a turn about what a step costs, so the turns pay from about
 400-650 steps before the window on.  _TWO_STEP_MIN = 1024 leaves a margin
 and keeps the one-step route and its bits up to n = 1272 at fl(nu), so
@@ -152,15 +154,31 @@ QUARTER_LOG2PI_LO = 1.9744082879119833e-17
 
 
 def two_prod(a, b):
-    """Dekker's exact product, elementwise: a * b = p + e with p = fl(a*b)."""
+    """Dekker's exact product, elementwise: a * b = p + e with p = fl(a*b).
+
+    Floats, arrays and an array times a float alike.  The splits and the
+    error term are formed in place: on arrays the call allocates nothing but
+    p, e and the splits, and it never writes into a or b.
+    """
     p = a * b
-    ca = _SPLIT * a
-    ahi = ca - (ca - a)
+    # a = ahi + alo: ahi = ca - (ca - a), ca = _SPLIT a; the same for b
+    ahi = _SPLIT * a
+    alo = ahi - a
+    ahi -= alo
     alo = a - ahi
-    cb = _SPLIT * b
-    bhi = cb - (cb - b)
+    bhi = _SPLIT * b
+    blo = bhi - b
+    bhi -= blo
     blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    # e = ((ahi bhi - p) + ahi blo + alo bhi) + alo blo, rounded in that order
+    e = ahi * bhi
+    e -= p
+    ahi *= blo
+    bhi *= alo
+    alo *= blo
+    e += ahi
+    e += bhi
+    e += alo
     return p, e
 
 
@@ -266,8 +284,7 @@ def _two_step_turns(x: float, p: int, start: int) -> tuple[np.ndarray, np.ndarra
     x^2 = h + lo by two_prod, d = h - (k + 1/2) is exact, a d = q + qe by
     two_prod, and alpha = fl(q + (qe + a lo)).  lo enters the product's
     error term, not the difference, whose rounding would lean the same way
-    at every k.  two_prod(a, d) runs here in place, on five arrays, not the
-    dozen it allocates, which at n = 10^6 hold 4 MB each.
+    at every k.
     """
     a, c = _two_step_coefficients(start - 1)
     a, c = a[p::2], c[p::2]
@@ -275,23 +292,8 @@ def _two_step_turns(x: float, p: int, start: int) -> tuple[np.ndarray, np.ndarra
     d = np.arange(p, start - 1, 2, dtype=np.float64)
     d += 0.5
     np.subtract(h, d, out=d)  # exact: k + 1/2 < h <= 2^52, both multiples of min(ulp(h), 1/2)
-    q = a * d
-    # Dekker's splits: a = ahi + alo and d = dhi + dlo, dlo in d's storage
-    ahi = _SPLIT * a
-    alo = ahi - a
-    ahi -= alo
-    np.subtract(a, ahi, out=alo)
-    dhi = _SPLIT * d
-    t = dhi - d
-    dhi -= t
-    d -= dhi
-    # qe = ((ahi dhi - q) + ahi dlo + alo dhi) + alo dlo, then + a lo, then + q
-    qe = ahi * dhi
-    qe -= q
-    qe += np.multiply(ahi, d, out=ahi)
-    qe += np.multiply(alo, dhi, out=dhi)
-    qe += np.multiply(alo, d, out=alo)
-    qe += np.multiply(a, lo, out=t)
+    q, qe = two_prod(a, d)
+    qe += np.multiply(a, lo, out=d)
     qe += q
     return qe, c
 

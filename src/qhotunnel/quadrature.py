@@ -3,7 +3,8 @@
 The integrators serve the acceptance gate: its Ai^2 moments, the
 phi Ai^2 integrals of criterion 6 and the normalisation checks.  Strategy: 24-point Gauss-Legendre panels laid out
 with geometrically growing width in t = x - a; each panel is accepted
-only when it agrees with its two half-panels, otherwise it is bisected.
+when it agrees with its two half-panels, to its share of the tolerance or
+to a few ulps (their rounding), and is bisected otherwise.
 The march stops when a panel's contribution is negligible and its two
 halves bound the remaining tail (Prekopa, 1973): rigorously where the
 tail is log-concave, heuristically otherwise.
@@ -57,8 +58,8 @@ class QuadratureResult:
 
 
 def _check_tol(tol: float) -> None:
-    # below the floor a smooth integrand can march until the budget runs out (the density
-    # at n = 7 at 1e-15: 25 s); with no roundoff stop yet, some do so even at 1e-14
+    # with the roundoff stop the density at n = 7 converges at 1e-15, but integrate_finite on
+    # the density at n = 800 over [0, nu] still marches until the budget runs out at 1e-14
     if not (1e-14 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-14, 1e-3], got {tol}")
 
@@ -138,7 +139,9 @@ def _refined(fg, lo, hi, sums, leaf_tol, budget):
     whole, left, right = sums
     budget.spend()
     disc = abs(whole - (left + right))
-    if disc <= leaf_tol or (hi - lo) < 1e-14 * max(abs(lo), 1.0):
+    # a discrepancy of a few ulps of the halves is their rounding, which no bisection removes
+    roundoff = disc <= 8 * 2.0**-52 * (abs(left) + abs(right))
+    if disc <= leaf_tol or roundoff or (hi - lo) < 1e-14 * max(abs(lo), 1.0):
         return left + right, disc / _EST_SAFETY
     mid = 0.5 * (lo + hi)
     quarters = _evaluate(fg, _halves(lo, mid) + _halves(mid, hi))

@@ -150,6 +150,13 @@ class TestValidate:
         assert code == 0
         assert out == "n=100 max_rel_deviation=2.3750e-09\nn=400 max_rel_deviation=3.8499e-11\n"
 
+    def test_ground_state_is_validated(self, capsys):
+        # the uniform form's prefactor is summed term by term at small n: the Stirling
+        # route through eq. 41's prefactor takes ln n, which has no value at n = 0
+        code, out, _ = run_cli(capsys, "validate", "--ns", "0,1")
+        assert code == 0
+        assert out == "n=0 max_rel_deviation=1.0896e-02\nn=1 max_rel_deviation=6.3634e-04\n"
+
     def test_default_ns(self, capsys):
         code, out, _ = run_cli(capsys, "validate")
         assert code == 0

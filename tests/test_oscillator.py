@@ -258,3 +258,44 @@ class TestEvalDensity:
         vals = density_floats(mode, np.array([mode.nu, mode.nu + 60.0]))
         assert vals[0] > 0.0
         assert vals[1] == 0.0  # far beyond double range, by design
+
+
+def _spread(rng, size):
+    """Doubles of either sign with binary exponents from -400 to 400."""
+    return rng.choice([-1.0, 1.0], size) * rng.uniform(0.5, 1.0, size) * np.exp2(rng.integers(-400, 401, size))
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False  # any write into an input raises
+    return a
+
+
+class TestTwoProd:
+    """Dekker's product: p + e is a * b exactly, for floats, arrays and an array times a float."""
+
+    def test_floats_are_exact(self):
+        rng = np.random.default_rng(30)
+        for a, b in zip(_spread(rng, 2000).tolist(), _spread(rng, 2000).tolist()):
+            p, e = oscillator.two_prod(a, b)
+            assert type(p) is float and type(e) is float
+            assert p == a * b
+            assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+    @pytest.mark.parametrize("kind", ["array * array", "array * float", "float * array"])
+    def test_arrays_are_exact_and_leave_the_inputs_alone(self, kind):
+        rng = np.random.default_rng(31)
+        a, b = _read_only(_spread(rng, 2000)), _read_only(_spread(rng, 2000))
+        if kind == "array * float":
+            b = b[7].item()
+        elif kind == "float * array":
+            a = a[7].item()
+        p, e = oscillator.two_prod(a, b)
+        assert p.shape == e.shape == (2000,)
+        for x in (a, b):
+            if isinstance(x, np.ndarray):
+                assert not np.shares_memory(p, x) and not np.shares_memory(e, x)
+        assert not np.shares_memory(p, e)
+        np.testing.assert_array_equal(p, np.multiply(a, b))
+        for u, v, pk, ek in zip(*np.broadcast_arrays(a, b, p, e)):
+            assert Fraction(float(pk)) + Fraction(float(ek)) == Fraction(float(u)) * Fraction(float(v))

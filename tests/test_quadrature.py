@@ -82,6 +82,23 @@ class TestIntegrateDecaying:
         r = integrate_decaying(lambda x: (1.0 + x * x) ** -3, 0.0, 1e-11)
         assert abs(r.value - 3.0 * math.pi / 16.0) <= 1e-11
 
+    @pytest.mark.parametrize(
+        "f,a,tol,exact",
+        [
+            (lambda x: 5.0 * np.exp(-x / 3.0), 0.0, 1e-13, 15.0),
+            (lambda x: math.exp(-x * x), 1.0, 1e-14, FROZEN["half_sqrtpi_erfc1"]),
+            # 10 sqrt(50 pi) (1 + e^-50); e^-50 lies below an ulp of 1
+            (lambda x: 40.0 * np.exp(-x * x / 50.0) * np.cos(x) ** 2, 0.0, 1e-14, 10.0 * math.sqrt(50.0 * math.pi)),
+        ],
+        ids=["5 exp(-x/3)", "scalar exp(-x^2)", "40 exp(-x^2/50) cos^2 x"],
+    )
+    def test_roundoff_stop(self, f, a, tol, exact):
+        # a panel whose halves agree with it to a few ulps is accepted: bisecting it
+        # further only reshuffles rounding, until the panel budget runs out
+        r = integrate_decaying(f, a, tol)
+        assert r.panels_used <= 100
+        assert abs(r.value - exact) <= tol * max(abs(exact), 1.0)
+
     def test_log_convex_tail_stays_within_tol(self):
         # past x = 1 this tail is log-convex: the estimate (9.95e-15) understates
         # the true error (1.19e-14), but the value stays within tol
