@@ -13,7 +13,7 @@ thousands of binary orders.
 The kernel, psi_scaled_grid, runs the recurrence in numpy on a grid of
 positions.  It is seeded by psi_0(x) = pi^{-1/4} e^{-x^2/2}, whose base-2
 logarithm is split with Dekker's exact product, two_prod, the package's
-only one: it also forms the two-step coefficients (below) and the
+only one: it also forms the reduced route's coefficients (below) and the
 oracle's sliver, and it works in place on arrays.
 The pair (psi_k, psi_{k-1}) is carried as two mantissa arrays sharing one
 base-2 exponent array, and is rescaled by a power of two, taken from the
@@ -36,12 +36,12 @@ that order (no fused multiply-add, no reassociation).  This is the
 package's only kernel; there is no compiled twin.
 
 At a float x the kernel runs the same steps, with the same roundings and,
-but before a tail window (below), the same rescaling points, in plain
+at x < sqrt(2n), the same rescaling points (elsewhere fewer, below), in plain
 Python floats, where a step costs a fraction of a ufunc call and the
 set-up no array: the seed is _seed's sequence of operations on floats, so
 the values are the bits of the one-point grid [x], at subnormal x too
 (n = 400: about 0.06 ms, against 2.8 ms through the ufunc loop), except
-where the steps before a long tail window run two orders a turn (below).  A float
+where the steps before a long tail window run 2^j orders a turn (below).  A float
 x goes in and Python floats and ints come out, with no grid or result
 array built.  Any array, of any size and shape, runs the ufunc loop.
 With tail=True, at a float x only, the float loop also sums the tail mass
@@ -71,7 +71,10 @@ as a_k >= 2 there): a run grows the pair by at most a_k^L <= 2^900, the
 budget of the window's products, and the smaller member stays within a_k
 of the larger, so nothing leaves the normal range and the bits are those
 of the block schedule (at fl(nu), 14 rescalings before the window instead
-of 124 at n = 7000, and 1914 instead of 26972 at 10^6).  The k0 terms
+of 124 at n = 7000, and 1914 instead of 26972 at 10^6).  Without tail, at
+x >= sqrt(2n), the float loop runs all n steps on that schedule, with the
+same bits (eval_psi at fl(nu): 11% less time at n = 1560, 13% at 10^4).
+The k0 terms
 before the window's first step k0 sum to at most k0 sqrt(2) x psi_{k0}^2
 (in the loop's units, 2x times the identity's terms), and the window's own
 sum is a lower bound on the tail.  After the loop the two bounds are
@@ -84,40 +87,73 @@ tests), and psi_n keeps the grid's bits either way.  At x < sqrt(2n), at
 x <= 0, and where the window's block is the first (at fl(nu), every n up
 to 177), the loop sums from step 0.
 
-From _TWO_STEP_MIN = 1024 steps before the window on, those steps run two
-orders a turn, by the recurrence in even-odd form (x^2 psi_k from
-x psi_k = sqrt((k+1)/2) psi_{k+1} + sqrt(k/2) psi_{k-1} applied twice;
-Gil, Segura & Temme, ch. 4)
+From _TWO_STEP_MIN = 1024 steps before the window on, those steps run 2^j
+orders a turn, by cyclic reduction of the recurrence in even-odd form
+(x^2 psi_k from x psi_k = sqrt((k+1)/2) psi_{k+1} + sqrt(k/2) psi_{k-1}
+applied twice; Gil, Segura & Temme, ch. 4)
 
     psi_{k+2} = alpha_k psi_k - c_k psi_{k-2},   alpha_k = a_k (x^2 - k - 1/2),
     a_k = 2/sqrt((k+1)(k+2)),   c_k = sqrt(k(k-1)/((k+1)(k+2))),
 
 on the chain of the window start's parity, from psi_0 or from
-psi_1 = fl(x c1[0]) psi_0.  Then psi_{start-1} =
-(psi_start + c2[start-1] psi_{start-2}) / fl(x c1[start-1]), with no
-cancellation, as every term is positive.  A turn's ratio
-psi_{k+2}/psi_k = r_{k+1} r_k lies between 1 and alpha_k, because
-c_k psi_{k-2} / psi_k > 0, and alpha_k > 2 falls with k, as
-x^2 - k - 1/2 >= k + 3/2 > sqrt((k+1)(k+2)) there; so the turns rescale
-after runs of floor(900 / log2(alpha_k)) turns, as the steps do (13
-rescalings at fl(nu) and n = 7000, 1671 at 10^6).  a_k and c_k are a
-second per-process table; alpha_k depends on x and is formed per call in
-numpy, rounded once from a_k times the exact x^2 - k - 1/2
-(_two_step_turns).  A form that rounds x^2's low part away first, such as
-a_k fl(x^2 - k - 1/2 + lo), errs the same way at every k: the oracle then
-read -1.5e-13 at n = 2000 and +5.1e-13 at 9800 against the frozen P_n.
-Rounded once, half as many turns as there were steps, each with one
-rounded coefficient, move the oracle's error at fl(nu) from -4.2e-14 to
--5.2e-15 at n = 2000, -2.3e-14 to -1.5e-14 at 5200, -2.1e-14 to +1.3e-14
-at 9800 and -3.0e-13 to -2.6e-14 at 10^5.  psi_n then has its own bits,
-not the grid's; the tests pin them to a per-step reference of the
-two-step route.  Forming alpha costs 22 ufunc calls (about 37 us at
-n = 7000), and a turn about what a step costs, so the turns pay from about
-400-650 steps before the window on.  _TWO_STEP_MIN = 1024 leaves a margin
-and keeps the one-step route and its bits up to n = 1272 at fl(nu), so
-for every row of the paper's table (n <= 800, at most 603 steps before
-the window).  At n = 5200 to 9800 a solve takes about 30% less time than
-with one step a turn.
+psi_1 = fl(x c1[0]) psi_0; as c_0 = c_1 = 0 the chain's first turn has no
+term before it.  a_k and c_k are a second per-process table; alpha_k
+depends on x and is formed per call in numpy, rounded once from a_k times
+the exact x^2 - k - 1/2 (_two_step_turns).  A form that rounds x^2's low
+part away first, such as a_k fl(x^2 - k - 1/2 + lo), errs the same way at
+every k: the oracle then read -1.5e-13 at n = 2000 and +5.1e-13 at 9800
+against the frozen P_n.  A level of reduction (_reduced) takes a chain of
+turns psi_{k+s} = alpha_k psi_k - c_k psi_{k-s} of stride s, writes the
+turn at k + s and, solved for psi_{k-s}, the one at k - s into the one at
+k, and so keeps every other turn:
+
+    psi_{k+2s} = A_k psi_k - C_k psi_{k-2s},
+    A_k = alpha_{k+s} alpha_k - c_{k+s} - alpha_{k+s} c_k / alpha_{k-s},
+    C_k = alpha_{k+s} c_k c_{k-s} / alpha_{k-s},
+
+at the k with start - k a multiple of 2s; a turn left over at the chain's
+front is taken at once, and again the first turn kept has C = 0.  Each
+level doubles the stride and halves the turns.  Every psi_k is positive
+and every alpha_k, c_k, A_k and C_k is >= 0, so a turn's ratio
+psi_{k+2s}/psi_k = A_k - C_k psi_{k-2s}/psi_k is at most A_k, and, as the
+product r_k .. r_{k+2s-1} of one-step ratios, at least 1 and at most
+a_k^(2s), a_k = fl(x c1[k]) being the largest step coefficient from k on.
+A_k is rounded once from the exact product alpha_{k+s} alpha_k = p + pe
+(two_prod), as fl(p + ((pe - c_{k+s}) - q_k)), q_k = alpha_{k+s} c_k /
+alpha_{k-s}, and C_k = q_k c_{k-s}: where A_k is large, c_{k+s} and q_k
+lie just below round numbers of p's grid, so fl(p - c_{k+s}) errs the same
+way at most k (at n = 10^6 and x = 10 fl(nu), psi_n was then 3.3e-12 off,
+against 1.3e-14 rounded once).  Levels are added while a level holds
+_TWO_STEP_MIN / 2 turns or more, which saves more turns than the level's
+two dozen ufunc calls cost, and while the next level's turn of 2^(j+1)
+orders grows the pair by at most fl(x c1[0])^(2^(j+1)) <= 2^450
+(_BLOCK_LOG2_RANGE).  At fl(nu) that is 4 orders from n = 1273, 8 from
+2333, 16 from 4457 and 32 from 8630, where the growth bound stops the
+levels from 16933 on (3094 turns at 10^5, 31186 at 10^6).
+_grown runs the last level in runs of floor(900 / (2^j log2 a_k)) turns
+from the turn whose first step is k: by the j rule 2^j log2 a_k <= 450, so
+a run takes two turns or more (at fl(nu) 14 rescalings at n = 7000, 1985
+at 10^6).  Going back down, each level gives
+psi_{start-s} = (psi_start + c_{start-s} psi_{start-2s}) / alpha_{start-s}
+from its last turn, and psi_{start-1} =
+(psi_start + c2[start-1] psi_{start-2}) / fl(x c1[start-1]) follows: sums
+of positive terms, with no cancellation.
+
+psi_n then has its own bits, not the grid's; the tests pin them to a
+per-level reference of the route.  Forming alpha costs 22 ufunc calls
+(about 37 us at n = 7000), and a turn about what a step costs, so two
+orders a turn pay from about 400-650 steps before the window on;
+_TWO_STEP_MIN = 1024 leaves a margin and keeps the one-step route and its
+bits up to n = 1272 at fl(nu), so for every row of the paper's table
+(n <= 800, at most 603 steps before the window).  The error stays set by
+the one-step window (tests/_int_reference.py evaluates the identity in
+Python ints): on 20 n drawn from [1273, 10^5] its largest |error| is
+2.6e-13, against 2.3e-13 with two orders a turn, and the median 5.7e-14
+(5.5e-14); at 10^5 the window's steps from the correctly rounded start pair
+read +2.3e-14, and from one a unit lower in psi_start +5.4e-14.  Against
+the frozen P_n: -5.2e-15 at n = 2000, -2.3e-14 at 5200, +1.3e-14 at 9800,
++2.3e-14 at 10^5.  A solve takes about 19% less time at n = 5200 than with
+two orders a turn, 28% at 7000, 29% at 9800, 47% at 10^5 and 37% at 10^6.
 """
 
 from __future__ import annotations
@@ -142,7 +178,7 @@ _BLOCK_LOG2_RANGE = 450.0  # binary orders a block may drift from [1/2, 1)
 # 2^-_WINDOW_MARGIN of the rest, or the sum reruns from step 0
 _WINDOW = 16
 _WINDOW_MARGIN = 96
-# from this many steps before the tail window on, they run two orders a turn;
+# from this many steps before the tail window on, they run 2^j orders a turn;
 # below about 400-650 forming the turns' coefficients costs more than it saves
 _TWO_STEP_MIN = 1024
 
@@ -250,7 +286,7 @@ def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # the two-step recurrence's a[k] and c[k] (module docstring), grown like _TABLE
-# but only by the calls that take two steps a turn
+# but only by the calls that run 2^j steps a turn
 _TWO_STEP_TABLE = (np.empty(0), np.empty(0))
 
 
@@ -298,6 +334,32 @@ def _two_step_turns(x: float, p: int, start: int) -> tuple[np.ndarray, np.ndarra
     return qe, c
 
 
+def _reduced(al: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One level of cyclic reduction: the turns psi_{k+2s} = A_k psi_k - C_k psi_{k-2s} from those of stride s.
+
+    al and c hold a chain's turns psi_{k+s} = al_k psi_k - c_k psi_{k-s},
+    the first with c = 0; the result holds every other one, ending at the
+    same last turn, again the first with C = 0, with
+    A_k = al_{k+s} al_k - c_{k+s} - q_k and C_k = q_k c_{k-s},
+    q_k = al_{k+s} c_k / al_{k-s}.  A_k is rounded once from the exact
+    product, al_{k+s} al_k = p + pe by two_prod: A_k = fl(p + ((pe - c_{k+s}) - q_k)),
+    since rounding p - c_{k+s} first errs the same way at most k where A_k
+    is large.  q_k and C_k are rounded left to right.  Where the chain holds
+    an odd number of turns its first is left out, and the caller takes it.
+    """
+    t = len(al)
+    o = t % 2  # the first turn kept; at o = 0 it is the chain's first, with c_k = 0 and no turn before it
+    nxt = al[o + 1 :: 2]
+    big, err = two_prod(nxt, al[o::2])
+    err -= c[o + 1 :: 2]
+    q = nxt * c[o::2]
+    q[1 - o :] /= al[1 - o : -1 : 2]
+    err -= q
+    big += err
+    q[1 - o :] *= c[1 - o : -1 : 2]
+    return big, q
+
+
 def _normalized(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, e) with m in [1/2, 1), or (0.0, 0) where m is 0."""
     m, de = np.frexp(m)
@@ -323,7 +385,7 @@ def psi_scaled_grid(n: int, x: float | np.ndarray, *, tail: bool = False) -> tup
     checking that the terms it leaves out sum below 2^-96 of the rest (and
     sums them all when they do not; see the module docstring).  psi_n
     keeps the grid's bits, unless 1024 steps or more come before that
-    window: those run two orders a turn, with their own roundings.
+    window: those run 2^j orders a turn, with their own roundings.
     """
     if n < 0:
         raise ValueError(f"quantum number must be >= 0, got {n}")
@@ -371,25 +433,38 @@ def _window_start(n: int, x: float, block: int) -> int:
     x <= 0, where the terms need not grow with k (module docstring), and
     where that block is the first.
     """
-    if n > block and x > 0.0 and x * x >= 2 * n:
+    if n > block and _grows(n, x):
         start = n - 1 - int(_WINDOW * x ** (2.0 / 3.0))
         if start >= block:
             return start - start % block
     return 0
 
 
-def _grown(mf: float, pm: float, ef: int, a: np.ndarray, b: np.ndarray) -> tuple[float, float, int]:
-    """The pair (mf, pm) on exponent ef after the steps mf, pm = a[k] mf - b[k] pm, mf for every k.
+def _grows(n: int, x: float) -> bool:
+    """Whether x >= sqrt(2n), where psi_0(x) .. psi_n(x) are positive and nondecreasing (module docstring)."""
+    return x > 0.0 and x * x >= 2 * n
 
-    The pair is positive and grows by at most a[k] at step k, and a[k] >= 2
-    falls with k (module docstring), so a run of 2 _BLOCK_LOG2_RANGE /
-    log2(a[k]) steps from step k keeps it within the window products'
-    2^900; the pair is rescaled after each run, not each block.
+
+def _run_length(lead: float, orders: int) -> int:
+    """Turns of orders steps from one whose first step's coefficient is lead, growing the pair by at most 2^900."""
+    return int(2 * _BLOCK_LOG2_RANGE // (orders * math.log2(lead)))
+
+
+def _grown(mf: float, pm: float, ef: int, a: np.ndarray, b: np.ndarray, lead: np.ndarray,
+           orders: int = 1) -> tuple[float, float, int]:
+    """The pair (mf, pm) on exponent ef after the turns mf, pm = a[k] mf - b[k] pm, mf for every k.
+
+    Turn k spans orders recurrence steps, the first with the one-step
+    coefficient lead[k] = fl(x c1).  The pair is positive, each step grows
+    it by at most its coefficient, and those are >= 2 and fall with k
+    (module docstring), so turn k grows it by at most lead[k]^orders, and a
+    run of _run_length turns from turn k keeps it within the window
+    products' 2^900; the pair is rescaled after each run, not each block.
     """
-    a, b = memoryview(a), memoryview(b)
+    a, b, lead = memoryview(a), memoryview(b), memoryview(lead)
     k = 0
     while k < len(a):
-        run = int(2 * _BLOCK_LOG2_RANGE // math.log2(a[k]))
+        run = _run_length(lead[k], orders)
         for u, v in zip(a[k : k + run], b[k : k + run]):
             mf, pm = u * mf - pm * v, mf
         k += run
@@ -399,22 +474,59 @@ def _grown(mf: float, pm: float, ef: int, a: np.ndarray, b: np.ndarray) -> tuple
     return mf, pm, ef
 
 
+def _reduced_turns(x: float, start: int, c1: np.ndarray, c2: np.ndarray, m0: float,
+                   e0: int) -> tuple[float, float, int]:
+    """(psi_start, psi_{start-1}) on one exponent from psi_0 = m0 2^e0, 2^j orders a turn (module docstring).
+
+    The two-step chain of start's parity is reduced level by level while a
+    level holds _TWO_STEP_MIN / 2 turns or more and the next level's turn
+    would grow the pair by at most 2^_BLOCK_LOG2_RANGE; _grown runs the last
+    level, and each level below it gives back psi_{start-s}, s its stride.
+    """
+    p = start % 2
+    # from psi_0, or from psi_1 = fl(x c1[0]) psi_0, the first step's bits
+    mf = x * c1[0].item() * m0 if p else m0
+    al, c = _two_step_turns(x, p, start)
+    growth = math.log2(x * c1[0].item())  # of the largest step coefficient
+    orders, last = 2, []
+    while len(al) >= _TWO_STEP_MIN // 2 and 2 * orders * growth <= _BLOCK_LOG2_RANGE:
+        last.append((al[-1].item(), c[-1].item()))
+        if len(al) % 2:  # the first turn, whose c is 0, is left out: take it here
+            mf *= al[0].item()
+        al, c = _reduced(al, c)
+        orders *= 2
+    mf, sh = math.frexp(mf)
+    first = start - orders * len(al)
+    mf, pm, ef = _grown(mf, 0.0, e0 + sh, al, c, x * c1[first:start:orders], orders)
+    # psi_{start-s} from psi_start = al psi_{start-s} - c psi_{start-2s} on each
+    # level down, then psi_{start-1} from the one-step recurrence: sums of
+    # positive terms
+    for a, b in reversed(last):
+        pm = (mf + b * pm) / a
+    return mf, (mf + c2[start - 1].item() * pm) / (x * c1[start - 1].item()), ef
+
+
 def _psi_scaled_point(n: int, x: float, block: int, c1: np.ndarray, c2: np.ndarray, tail: bool,
                       start: int | None = None) -> tuple:
     """psi_scaled_grid's steps at one point x, in plain floats: (m, e), or (m, e, tm, te) with tail.
 
-    Without tail every step runs in blocks of block steps.  With tail the
-    blocks from step start on also sum the tail, and start is the first
-    step of a block, by default _window_start's.  The steps before it form
-    no product and rescale after runs sized on their growth bound (module
-    docstring), not blocks; from _TWO_STEP_MIN of them on they run two
-    orders a turn.
+    Without tail every step runs in blocks of block steps, or, at
+    x >= sqrt(2n), in runs sized on their growth bound (module docstring).
+    With tail the blocks from step start on also sum the tail, and start is
+    the first step of a block, by default _window_start's.  The steps
+    before it form no product and rescale after runs sized on their growth
+    bound, not blocks; from _TWO_STEP_MIN of them on they run 2^j orders a
+    turn (_reduced_turns).
     """
     m0, e0 = _seed_point(x)
     mf, ef, pm, s = m0, e0, 0.0, 0.0
     if not tail:
         # fl(x c1[k]) in one multiply: the doubles of the grid loop's first product
-        steps = zip(memoryview(x * c1), memoryview(c2))
+        a = x * c1
+        if _grows(n, x):
+            mf, _, ef = _grown(mf, pm, ef, a, c2, a)
+            return _normalized_float(mf, ef)
+        steps = zip(memoryview(a), memoryview(c2))
         for _ in range(0, n, block):
             for a, b in itertools.islice(steps, block):
                 mf, pm = a * mf - pm * b, mf
@@ -425,17 +537,10 @@ def _psi_scaled_point(n: int, x: float, block: int, c1: np.ndarray, c2: np.ndarr
     if start is None:
         start = _window_start(n, x, block)
     if start >= _TWO_STEP_MIN:
-        # psi_start two orders a turn, on the chain of start's parity: from
-        # psi_0, or from psi_1 = fl(x c1[0]) psi_0, the first step's bits
-        p = start % 2
-        if p:
-            mf = x * c1[0].item() * m0
-        mf, pm, ef = _grown(mf, pm, ef, *_two_step_turns(x, p, start))
-        # then psi_{start-1} from psi_start = a psi_{start-1} - b psi_{start-2}, a sum
-        # of positive terms
-        pm = (mf + c2[start - 1].item() * pm) / (x * c1[start - 1].item())
+        mf, pm, ef = _reduced_turns(x, start, c1, c2, m0, e0)
     else:
-        mf, pm, ef = _grown(mf, pm, ef, x * c1[:start], c2[:start])
+        a = x * c1[:start]
+        mf, pm, ef = _grown(mf, pm, ef, a, c2[:start], a)
     steps = zip(memoryview(x * c1[start:]), memoryview(c2[start:]))
     ef_start = ef
     for _ in range(start, n, block):

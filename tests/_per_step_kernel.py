@@ -9,9 +9,10 @@ where ``ldexp(pm, pe - e)`` is asked for a shift beyond the double range.
 
 tail_point is the one-point loop with the tail identity summed over all
 n terms, the reference for the kernel's sum over the turning-point layer.
-two_step_point reaches the window's first step two orders a step, by
-psi_{k+2} = alpha_k psi_k - c_k psi_{k-2}, renormalised after every step,
-with each coefficient and each Dekker product formed where it is used.
+reduced_point reaches the window's first step by cyclic reduction of
+psi_{k+2} = alpha_k psi_k - c_k psi_{k-2}, level by level in lists of
+scalars, with each coefficient and each Dekker product formed where it is
+used, and runs the last level renormalised after every step.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 
+from qhotunnel import oscillator
 from qhotunnel.oscillator import _block_length, _half_erfc, _seed, _seed_point
 
 
@@ -58,30 +60,63 @@ def tail_point(n: int, x: float) -> tuple[float, int, float, int]:
     return _window(n, x, 0, m0, 0.0, e0)
 
 
-def two_step_point(n: int, x: float, start: int) -> tuple[float, int, float, int]:
-    """As tail_point, but summing from step start on, which it reaches two orders a step.
+def reduced_point(n: int, x: float, start: int) -> tuple[float, int, float, int]:
+    """As tail_point, but summing from step start on, which it reaches 2^j orders a step by cyclic reduction.
 
-    The chain has start's parity and begins at psi_0 or at
-    psi_1 = fl(x sqrt(2)) psi_0. Each step takes
+    The two-step chain has start's parity and begins at psi_0 or at
+    psi_1 = fl(x sqrt(2)) psi_0. Its step at k takes
     alpha_k = a_k (x^2 - k - 1/2), with a_k = 2/sqrt((k+1)(k+2)), rounded
     once from a_k times x^2 = h + lo: fl(p + (pe + a_k lo)), where
-    p + pe = a_k (h - (k + 1/2)) exactly. psi_{start-1} then follows from
-    the one-step recurrence at step start - 1, solved for it.
+    p + pe = a_k (h - (k + 1/2)) exactly, and c_k = sqrt(k(k-1)/((k+1)(k+2))).
+    Each level of stride s keeps the steps at k with start - k a multiple of
+    2s, with A_k = alpha_{k+s} alpha_k - c_{k+s} - q_k and C_k = q_k c_{k-s},
+    q_k = alpha_{k+s} c_k / alpha_{k-s} rounded left to right and A_k rounded
+    once from the Dekker product p + pe = alpha_{k+s} alpha_k, as
+    fl(p + ((pe - c_{k+s}) - q_k)); at the chain's first step, whose c is 0
+    and which has none before it, q_k = 0. A step left out at the chain's
+    front is taken at once. Levels are added while the last holds
+    _TWO_STEP_MIN / 2 steps or more and the next one's steps grow psi by at
+    most (x sqrt(2))^(2s) <= 2^_BLOCK_LOG2_RANGE. The last
+    level runs renormalised after every step; then each level down gives
+    psi_{start-s} = (psi_start + c_{start-s} psi_{start-2s}) / alpha_{start-s},
+    and psi_{start-1} follows from the one-step recurrence at step
+    start - 1, solved for it.
     """
     m0, e0 = _seed_point(x)
     h, hlo = _dekker(x, x)
     p = start % 2
-    m, pm, e = (x * math.sqrt(2.0) * m0 if p else m0), 0.0, e0
-    for k in range(p, start - 1, 2):
+    ks, alpha, c = list(range(p, start - 1, 2)), [], []
+    for k in ks:
         q = (k + 1.0) * (k + 2.0)
         a = 2.0 / math.sqrt(q)
-        c = math.sqrt(k * (k - 1.0) / q)
         prod, err = _dekker(a, h - (k + 0.5))
-        alpha = prod + (err + a * hlo)
-        m, pm = alpha * m - pm * c, m
+        alpha.append(prod + (err + a * hlo))
+        c.append(math.sqrt(k * (k - 1.0) / q))
+    m = x * math.sqrt(2.0) * m0 if p else m0
+    s, last = 2, []
+    while len(ks) >= oscillator._TWO_STEP_MIN // 2 and 2 * s * math.log2(x * math.sqrt(2.0)) <= oscillator._BLOCK_LOG2_RANGE:
+        last.append((alpha[-1], c[-1]))
+        at = {k: i for i, k in enumerate(ks)}
+        if (start - ks[0]) % (2 * s):
+            m *= alpha[0]
+        kept = [k for k in ks if (start - k) % (2 * s) == 0]
+        big, small = [], []
+        for k in kept:
+            i, j = at[k], at[k + s]
+            q = alpha[j] * c[i] / alpha[at[k - s]] if k > ks[0] else 0.0
+            prod, err = _dekker(alpha[j], alpha[i])
+            big.append(prod + ((err - c[j]) - q))
+            small.append(q * c[at[k - s]] if k > ks[0] else 0.0)
+        ks, alpha, c, s = kept, big, small, 2 * s
+    m, e = math.frexp(m)
+    pm, e = 0.0, e0 + e
+    for a, b in zip(alpha, c):
+        m, pm = a * m - pm * b, m
         _, sh = math.frexp(max(abs(m), abs(pm)))
         e += sh
         m, pm = math.ldexp(m, -sh), math.ldexp(pm, -sh)
+    for a, b in reversed(last):
+        pm = (m + b * pm) / a
     pm = (m + math.sqrt((start - 1) / (start - 1 + 1.0)) * pm) / (x * math.sqrt(2.0 / start))
     return _window(n, x, start, m, pm, e)
 

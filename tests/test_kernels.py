@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhotunnel import oscillator
-from qhotunnel import BACKEND
+from qhotunnel import BACKEND, cli, oscillator
 from qhotunnel.oscillator import psi_scaled_grid as psi_py
 from qhotunnel.oscillator import OscillatorMode, eval_psi, eval_psi_grid
 
 from ._per_step_kernel import psi_scaled_grid as psi_ref
-from ._per_step_kernel import tail_point, two_step_point
+from ._per_step_kernel import tail_point, reduced_point
 
 
 def test_backend_reported():
@@ -109,33 +108,33 @@ def test_tail_at_order_zero_is_half_erfc(x):
         assert abs(t / (mpmath.erfc(x) / 2) - 1) <= 4e-16
 
 
-def _two_step_start(n, x):
-    """The tail route's window start at a float x where the steps before it run two a turn, else None."""
+def _reduced_start(n, x):
+    """The tail route's window start at a float x where the steps before it run by cyclic reduction, else None."""
     start = oscillator._window_start(n, x, oscillator._block_length(abs(x)))
     return start if start >= oscillator._TWO_STEP_MIN else None
 
 
 def _tail_bits(n, x):
     """The tail route's (m, e, tm, te) at a float x, unless the window's check reruns it from step 0."""
-    start = _two_step_start(n, x)
-    return tail_point(n, x) if start is None else two_step_point(n, x, start)
+    start = _reduced_start(n, x)
+    return tail_point(n, x) if start is None else reduced_point(n, x, start)
 
 
 @pytest.mark.parametrize("n,xs", list(_twin_grids()))
 def test_tail_comes_with_the_same_bits(n, xs):
     # one run at a float x gives psi_n and its tail mass, and psi_n keeps the bits
     # of the grid (at the grid's first and last three points) and of the float x;
-    # where the steps before the window run two a turn, psi_n has the bits of the
-    # two-step reference instead
+    # where the steps before the window run by cyclic reduction, psi_n has the
+    # bits of the per-level reference instead
     m, e = psi_py(n, xs)
     points = list(zip(xs.ravel().tolist(), m.ravel().tolist(), e.ravel().tolist()))
     for x, mk, ek in points[:3] + points[-3:] + [(x, *_point_bits(n, x)) for x in (0.3, 1e3, 5e-324)]:
         got = psi_py(n, x, tail=True)
-        start = _two_step_start(n, x)
+        start = _reduced_start(n, x)
         if start is None:
             assert _hex(got[:2]) == _hex([mk, ek]), x
         else:
-            assert _hex(got) == _hex(two_step_point(n, x, start)), x
+            assert _hex(got) == _hex(reduced_point(n, x, start)), x
         assert 0.5 <= got[2] < 1.0, x  # the tail mass is positive and normalised
 
 
@@ -293,11 +292,11 @@ def test_float_x_gives_the_bits_of_the_one_point_grid(n):
         assert _hex(got) == grid
         got = psi_py(n, x, tail=True)
         assert [type(v) for v in got] == [float, int, float, int]
-        start = _two_step_start(n, float(x))
+        start = _reduced_start(n, float(x))
         if start is None:
             assert _hex(got[:2]) == grid
-        else:  # the steps before the window run two a turn, with their own roundings
-            assert _hex(got) == _hex(two_step_point(n, float(x), start))
+        else:  # the steps before the window run 2^j a turn, with their own roundings
+            assert _hex(got) == _hex(reduced_point(n, float(x), start))
 
 
 @pytest.mark.parametrize("tail", [False, True])
@@ -519,7 +518,7 @@ def test_tail_window_gives_the_bits_of_the_full_sum(monkeypatch, points):
     # at x >= sqrt(2n) the loop sums the tail from the turning-point layer on,
     # and psi_n and the tail mass keep the bits of the sum over every term,
     # where the steps before the window run one a turn, and those of the
-    # two-step reference's window where they run two; from n = 10^5 on, where
+    # per-level reference's window where they run 2^j; from n = 10^5 on, where
     # the steps before the window run longest between rescalings, with no
     # rerun from step 0 (an overflow before the window would fail the
     # window's check, and the rerun would give the full sum's bits)
@@ -533,16 +532,50 @@ def test_tail_window_gives_the_bits_of_the_full_sum(monkeypatch, points):
 
 @pytest.mark.parametrize("n", [1500, 5200, 30000])
 def test_steps_run_two_a_turn_from_the_set_pre_window_length(monkeypatch, n):
-    # these n at fl(nu) run two steps a turn; the same window start one step
+    # these n at fl(nu) run 2^j steps a turn; the same window start one step
     # short of _TWO_STEP_MIN runs one, with the full sum's bits, and at
-    # _TWO_STEP_MIN two, with other bits
+    # _TWO_STEP_MIN four (one level of reduction), with the per-level
+    # reference's bits, which after the window's steps can equal the full
+    # sum's (they do at 1500), so the reduced route's calls are counted
     x = math.sqrt(2 * n + 1)
     start = oscillator._window_start(n, x, oscillator._block_length(x))
-    assert _two_step_start(n, x) == start
+    assert _reduced_start(n, x) == start
+    starts = []
+    turns = oscillator._reduced_turns
+    monkeypatch.setattr(oscillator, "_reduced_turns", lambda *args: starts.append(args[1]) or turns(*args))
     monkeypatch.setattr(oscillator, "_TWO_STEP_MIN", start + 1)
-    assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x))
+    assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)) and starts == []
     monkeypatch.setattr(oscillator, "_TWO_STEP_MIN", start)
-    assert _hex(psi_py(n, x, tail=True)) == _hex(two_step_point(n, x, start)) != _hex(tail_point(n, x))
+    assert _hex(psi_py(n, x, tail=True)) == _hex(reduced_point(n, x, start)) and starts == [start]
+
+
+_NU_MAX = math.sqrt(2 * cli._MAX_N + 1)
+
+
+@pytest.mark.parametrize("x", [_NU_MAX, 1.5 * _NU_MAX, 3.0 * _NU_MAX, 10.0 * _NU_MAX, 2.0**23])
+def test_reduction_stops_on_the_growth_bound_at_the_largest_n(monkeypatch, x):
+    # at the CLI's largest n the levels stop on the growth bound, not on the
+    # turn count: the last level still holds _TWO_STEP_MIN / 2 turns or more,
+    # of 16 or 32 orders, each growing the pair by at most 2^450, so every run
+    # between rescalings takes two turns or more; the values are finite and
+    # normalised, and the one-step route gives them to 1e-12
+    n = cli._MAX_N
+    levels, runs = [], []
+    grown, run_length = oscillator._grown, oscillator._run_length
+    monkeypatch.setattr(oscillator, "_grown", lambda *args: levels.append((len(args[3]), *args[6:])) or grown(*args))
+    monkeypatch.setattr(oscillator, "_run_length", lambda *args: runs.append(run_length(*args)) or runs[-1])
+    m, e, tm, te = psi_py(n, x, tail=True)
+    [(turns, orders)] = levels
+    assert turns >= oscillator._TWO_STEP_MIN // 2 and orders in (16, 32)
+    assert 2 * orders * math.log2(x * math.sqrt(2.0)) > oscillator._BLOCK_LOG2_RANGE
+    assert min(runs) >= 2
+    assert 0.5 <= m < 1.0 and 0.5 <= tm < 1.0 and type(e) is type(te) is int
+    levels.clear()
+    monkeypatch.setattr(oscillator, "_TWO_STEP_MIN", n)
+    one = psi_py(n, x, tail=True)
+    assert [level[1:] for level in levels] == [()]  # one step a turn
+    assert oscillator.rel_diff(oscillator.ScaledValue(m, e), oscillator.ScaledValue(*one[:2])) <= 1e-12
+    assert oscillator.rel_diff(oscillator.ScaledValue(tm, te), oscillator.ScaledValue(*one[2:])) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [150, 800, 5200])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from qhotunnel.quadrature import (
     tunnel_probability_exact,
 )
 
+from ._int_reference import tunnel_probability as p_int
 from ._oracles import FROZEN
 from ._p_reference import P_REFERENCE
 
@@ -348,3 +350,28 @@ class TestFrozenReference:
         ref = mpmath.mpf(P_REFERENCE[n])
         p = tunnel_probability_exact(OscillatorMode(n), 1e-13)
         assert abs(mpmath.mpf(p) / ref - 1) <= bound
+
+
+# 20 n from [1273, 10^5], where the steps before the window run by cyclic
+# reduction: the frozen file's n past 800 read the oracle's error at four
+# points, and neighbouring n differ tenfold
+_SAMPLE = sorted((lambda rng: [rng.randint(1273, 10**5) for _ in range(20)])(random.Random(2031)))
+
+
+class TestIntegerReference:
+    """The oracle against the ladder identity in Python ints (tests/_int_reference.py)."""
+
+    @pytest.mark.parametrize("n", list(P_REFERENCE))
+    def test_reference_matches_the_frozen_file(self, n):
+        # measured: at most 2.2e-34, at n = 10^5
+        with mpmath.workdps(50):
+            assert abs(p_int(n) / mpmath.mpf(P_REFERENCE[n]) - 1) <= 1e-30
+
+    @pytest.mark.parametrize("n", _SAMPLE)
+    def test_oracle_within_its_sample_accuracy(self, n):
+        # the sample's largest |error| was 2.34e-13 with two orders a turn and
+        # is 2.55e-13 now (both at n = 89446), with medians of 5.5e-14 and
+        # 5.7e-14; the bound is about 1.3 times the former
+        with mpmath.workdps(50):
+            p = tunnel_probability_exact(OscillatorMode(n), 1e-13)
+            assert abs(mpmath.mpf(p) / p_int(n) - 1) <= 3e-13
