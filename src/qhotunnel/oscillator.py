@@ -36,26 +36,30 @@ that order (no fused multiply-add, no reassociation).  This is the
 package's only kernel; there is no compiled twin.
 
 At a float x the kernel runs the same steps, with the same roundings and,
-at x < sqrt(2n), the same rescaling points (elsewhere fewer, below), in plain
-Python floats, where a step costs a fraction of a ufunc call and the
-set-up no array: the seed is _seed's sequence of operations on floats, so
-the values are the bits of the one-point grid [x], at subnormal x too
-(n = 400: about 0.06 ms, against 2.8 ms through the ufunc loop), except
-where the steps before a long tail window run 2^j orders a turn (below).  A float
-x goes in and Python floats and ints come out, with no grid or result
-array built.  Any array, of any size and shape, runs the ufunc loop.
-With tail=True, at a float x only, the float loop also sums the tail mass
-by the ladder identity (DLMF §18.9)
+at x < sqrt(2n), the same rescaling points (elsewhere fewer, below), in
+plain Python floats, where a step costs a fraction of a ufunc call and
+the set-up no array: the seed is _seed's sequence of operations on
+floats, so the values are the bits of the one-point grid [x], at
+subnormal x too (n = 400: about 0.06 ms, against 2.8 ms through the ufunc
+loop), except where the steps before a long tail window run 2^j orders a
+turn (below).  A float x goes in and Python floats and ints come out,
+with no grid or result array built.  Any array, of any size and shape,
+runs the ufunc loop.  The float route runs one loop per job.  _grown runs
+every step that forms no product: without tail all n steps, in blocks of
+B steps at x < sqrt(2n) and in runs sized on their growth bound
+elsewhere (below).  With tail=True, at a float x only, _window runs the
+steps from a given start pair on and also sums the tail mass by the
+ladder identity (DLMF §18.9)
 
     int_x^inf psi_n^2 = erfc(x)/2 + sum_{k<n} psi_k(x) psi_{k+1}(x) / sqrt(2(k+1)),
 
 whose terms are the products of consecutive pairs the recurrence already
-forms; without tail=True the loop forms no such product.  At
-x = nu = sqrt(2n+1) every term is positive, and the recurrence runs in its
-dominant direction, so the rounding errors of the steps add up but are not
-amplified.
+forms, and _grown runs the steps before that start.  At x = nu =
+sqrt(2n+1) every term is positive, and the recurrence runs in its
+dominant direction, so the rounding errors of the steps add up but are
+not amplified.
 
-At x >= sqrt(2n) only the last terms reach the rounded sum, so the loop
+At x >= sqrt(2n) only the last terms reach the rounded sum, so _window
 sums only a window: from the block that holds step n - 1 - 16 x^(2/3)
 (_WINDOW), below the turning-point layer, whose width is O(x^(2/3))
 steps (DLMF §18.15(iv)); the steps before it form no product.  There every
@@ -72,20 +76,20 @@ budget of the window's products, and the smaller member stays within a_k
 of the larger, so nothing leaves the normal range and the bits are those
 of the block schedule (at fl(nu), 14 rescalings before the window instead
 of 124 at n = 7000, and 1914 instead of 26972 at 10^6).  Without tail, at
-x >= sqrt(2n), the float loop runs all n steps on that schedule, with the
-same bits (eval_psi at fl(nu): 11% less time at n = 1560, 13% at 10^4).
-The k0 terms
-before the window's first step k0 sum to at most k0 sqrt(2) x psi_{k0}^2
-(in the loop's units, 2x times the identity's terms), and the window's own
-sum is a lower bound on the tail.  After the loop the two bounds are
-compared by their frexp exponents; unless the first is below 2^-96
-(_WINDOW_MARGIN) of the second, the loop runs again and sums from step 0.
-The check, not the width 16, carries the result.  Where the steps before
-the window run one a turn, the window's sum has had the full sum's bits
-wherever it was compared (every n to 1200 and 201 more to 10^5, in the
-tests), and psi_n keeps the grid's bits either way.  At x < sqrt(2n), at
-x <= 0, and where the window's block is the first (at fl(nu), every n up
-to 177), the loop sums from step 0.
+x >= sqrt(2n), _grown runs all n steps on that schedule, with the same
+bits (eval_psi at fl(nu): 11% less time at n = 1560, 13% at 10^4).  The
+k0 terms before the window's first step k0 sum to at most k0 sqrt(2) x
+psi_{k0}^2 (in _window's units, 2x times the identity's terms), and the
+window's own sum is a lower bound on the tail.  After the window the two
+bounds are compared by their frexp exponents; unless the first is below
+2^-96 (_WINDOW_MARGIN) of the second, _window runs again, from step 0
+and the seed pair (psi_0, 0).  The check, not the width 16, carries the
+result.  Where the steps before the window run one a turn, the window's
+sum has had the full sum's bits wherever it was compared (every n to
+1200 and 201 more to 10^5, in the tests), and psi_n keeps the grid's
+bits either way.  At x < sqrt(2n), at x <= 0, and where the window's
+block is the first (at fl(nu), every n up to 177), the window starts at
+step 0.
 
 From _TWO_STEP_MIN = 1024 steps before the window on, those steps run 2^j
 orders a turn, by cyclic reduction of the recurrence in even-odd form
@@ -451,24 +455,23 @@ def _run_length(lead: float, orders: int) -> int:
 
 
 def _grown(mf: float, pm: float, ef: int, a: np.ndarray, b: np.ndarray, lead: np.ndarray,
-           orders: int = 1) -> tuple[float, float, int]:
+           orders: int = 1, block: int | None = None) -> tuple[float, float, int]:
     """The pair (mf, pm) on exponent ef after the turns mf, pm = a[k] mf - b[k] pm, mf for every k.
 
-    Turn k spans orders recurrence steps, the first with the one-step
-    coefficient lead[k] = fl(x c1).  The pair is positive, each step grows
-    it by at most its coefficient, and those are >= 2 and fall with k
-    (module docstring), so turn k grows it by at most lead[k]^orders, and a
-    run of _run_length turns from turn k keeps it within the window
-    products' 2^900; the pair is rescaled after each run, not each block.
+    These form no product.  With block the pair is rescaled every block
+    turns.  Without, turn k spans orders steps, the first with coefficient
+    lead[k] = fl(x c1); the pair is positive, each step grows it by at most
+    its coefficient, and those are >= 2 and fall with k (module docstring),
+    so it is rescaled after runs of _run_length turns, within 2^900 each.
     """
-    a, b, lead = memoryview(a), memoryview(b), memoryview(lead)
+    steps, lead = zip(memoryview(a), memoryview(b)), memoryview(lead)
     k = 0
     while k < len(a):
-        run = _run_length(lead[k], orders)
-        for u, v in zip(a[k : k + run], b[k : k + run]):
+        run = block or _run_length(lead[k], orders)
+        for u, v in itertools.islice(steps, run):
             mf, pm = u * mf - pm * v, mf
         k += run
-        _, sh = math.frexp(max(mf, pm))
+        _, sh = math.frexp(max(abs(mf), abs(pm)))
         ef += sh
         mf, pm = math.ldexp(mf, -sh), math.ldexp(pm, -sh)
     return mf, pm, ef
@@ -506,43 +509,14 @@ def _reduced_turns(x: float, start: int, c1: np.ndarray, c2: np.ndarray, m0: flo
     return mf, (mf + c2[start - 1].item() * pm) / (x * c1[start - 1].item()), ef
 
 
-def _psi_scaled_point(n: int, x: float, block: int, c1: np.ndarray, c2: np.ndarray, tail: bool,
-                      start: int | None = None) -> tuple:
-    """psi_scaled_grid's steps at one point x, in plain floats: (m, e), or (m, e, tm, te) with tail.
+def _window(n: int, x: float, block: int, c1: np.ndarray, c2: np.ndarray, start: int, mf: float, pm: float,
+            ef: int) -> tuple[float, float, int, float]:
+    """Steps start .. n - 1 from (mf, pm) = (psi_start, psi_{start-1}) on exponent ef, summing the tail's terms.
 
-    Without tail every step runs in blocks of block steps, or, at
-    x >= sqrt(2n), in runs sized on their growth bound (module docstring).
-    With tail the blocks from step start on also sum the tail, and start is
-    the first step of a block, by default _window_start's.  The steps
-    before it form no product and rescale after runs sized on their growth
-    bound, not blocks; from _TWO_STEP_MIN of them on they run 2^j orders a
-    turn (_reduced_turns).
+    (mf, pm, ef, s) after the last, rescaled every block steps, s on twice the pair's exponent.
     """
-    m0, e0 = _seed_point(x)
-    mf, ef, pm, s = m0, e0, 0.0, 0.0
-    if not tail:
-        # fl(x c1[k]) in one multiply: the doubles of the grid loop's first product
-        a = x * c1
-        if _grows(n, x):
-            mf, _, ef = _grown(mf, pm, ef, a, c2, a)
-            return _normalized_float(mf, ef)
-        steps = zip(memoryview(a), memoryview(c2))
-        for _ in range(0, n, block):
-            for a, b in itertools.islice(steps, block):
-                mf, pm = a * mf - pm * b, mf
-            _, sh = math.frexp(max(abs(mf), abs(pm)))
-            ef += sh
-            mf, pm = math.ldexp(mf, -sh), math.ldexp(pm, -sh)
-        return _normalized_float(mf, ef)
-    if start is None:
-        start = _window_start(n, x, block)
-    if start >= _TWO_STEP_MIN:
-        mf, pm, ef = _reduced_turns(x, start, c1, c2, m0, e0)
-    else:
-        a = x * c1[:start]
-        mf, pm, ef = _grown(mf, pm, ef, a, c2[:start], a)
+    s = 0.0
     steps = zip(memoryview(x * c1[start:]), memoryview(c2[start:]))
-    ef_start = ef
     for _ in range(start, n, block):
         for a, b in itertools.islice(steps, block):
             u = a * mf
@@ -551,12 +525,38 @@ def _psi_scaled_point(n: int, x: float, block: int, c1: np.ndarray, c2: np.ndarr
         _, sh = math.frexp(max(abs(mf), abs(pm)))
         ef += sh
         mf, pm, s = math.ldexp(mf, -sh), math.ldexp(pm, -sh), math.ldexp(s, -2 * sh)
+    return mf, pm, ef, s
+
+
+def _psi_scaled_point(n: int, x: float, block: int, c1: np.ndarray, c2: np.ndarray, tail: bool) -> tuple:
+    """psi_scaled_grid's steps at one point x, in plain floats: (m, e), or (m, e, tm, te) with tail.
+
+    Without tail _grown runs every step, in blocks of block steps, or, at
+    x >= sqrt(2n), in runs sized on their growth bound (module docstring).
+    With tail _grown, or from _TWO_STEP_MIN steps on _reduced_turns, runs
+    the steps before _window_start's step, and _window the rest; where the
+    terms left out could reach the sum, _window runs again from step 0.
+    """
+    m0, e0 = _seed_point(x)
+    if not tail:
+        # fl(x c1[k]) in one multiply: the doubles of the grid loop's first product
+        a = x * c1
+        mf, _, ef = _grown(m0, 0.0, e0, a, c2, a, block=None if _grows(n, x) else block)
+        return _normalized_float(mf, ef)
+    start = _window_start(n, x, block)
+    if start >= _TWO_STEP_MIN:
+        mf, pm, ef = _reduced_turns(x, start, c1, c2, m0, e0)
+    else:
+        a = x * c1[:start]
+        mf, pm, ef = _grown(m0, 0.0, e0, a, c2[:start], a)
+    ef_start = ef
+    mf, pm, ef, s = _window(n, x, block, c1, c2, start, mf, pm, ef)
     # the terms left out sum to less than start sqrt(2) x 2^(2 ef_start) <
     # 2^(frexp(start x) + 1 + 2 ef_start) (module docstring), the window's to at
     # least 2^(frexp(s) - 1 + 2 ef): unless the first is below 2^-_WINDOW_MARGIN
     # of the second, sum again from step 0
     if start and math.frexp(start * x)[1] + 2 * ef_start + 1 > math.frexp(s)[1] - 1 + 2 * ef - _WINDOW_MARGIN:
-        return _psi_scaled_point(n, x, block, c1, c2, tail, 0)
+        mf, pm, ef, s = _window(n, x, block, c1, c2, 0, m0, 0.0, e0)
     # each term carries the factor fl(x c1[k]), so all are 0 at x = 0
     terms = s / (2.0 * x) if x else 0.0
     v, k = _half_erfc(x, m0, e0)

@@ -16,7 +16,8 @@ psi_k psi_{k+1} times the step's own coefficient and is divided by 2 nu
 once at the end.  At nu every term is positive, so the truncations, about
 n units of 2^-Q, cannot cancel the sum.  No package code is used: the
 reference's independence from the oracle lies in its arithmetic.  It costs
-about 0.2 s at n = 10^5.
+about 0.2 s at n = 10^5.  ``python -m tests._int_reference N [N ...]``
+prints each P_n to 30 digits.
 """
 
 from __future__ import annotations
@@ -47,3 +48,10 @@ def tunnel_probability(n: int) -> mpmath.mpf:
             m, pm, s, e = m >> sh, pm >> sh, s >> 2 * sh, e + sh
     with mpmath.workdps(50):
         return 2 * (half_erfc + mpmath.ldexp(s, 2 * (e - Q)) / (2 * nu))
+
+
+if __name__ == "__main__":
+    import sys
+
+    for n in map(int, sys.argv[1:]):
+        print(n, mpmath.nstr(tunnel_probability(n), 30))

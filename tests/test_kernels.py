@@ -489,15 +489,15 @@ def _window_points(n):
 
 
 def _counting_reruns(monkeypatch):
-    """Record the arguments past tail of every _psi_scaled_point call: () for a call, (0,) for a rerun."""
+    """Record the first step of every _window call: one window per call, then one from step 0 for a rerun."""
     calls = []
-    point = oscillator._psi_scaled_point
+    window = oscillator._window
 
     def counting(*args):
-        calls.append(args[6:])
-        return point(*args)
+        calls.append(args[5])
+        return window(*args)
 
-    monkeypatch.setattr(oscillator, "_psi_scaled_point", counting)
+    monkeypatch.setattr(oscillator, "_window", counting)
     return calls
 
 
@@ -527,7 +527,7 @@ def test_tail_window_gives_the_bits_of_the_full_sum(monkeypatch, points):
         calls.clear()
         assert _hex(psi_py(n, x, tail=True)) == _hex(_tail_bits(n, x)), (n, x)
         if n >= 10**5:
-            assert calls == [()], (n, x)
+            assert len(calls) == 1 and calls[0] > 0, (n, x, calls)
 
 
 @pytest.mark.parametrize("n", [1500, 5200, 30000])
@@ -589,7 +589,7 @@ def test_tail_falls_back_to_the_full_sum_when_the_window_is_too_narrow(monkeypat
     for x in (nu, above):
         calls.clear()
         assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), x
-        assert calls == [(), (0,)], x
+        assert calls[0] > 0 and calls[1:] == [0], x
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 800, 5200, 30000])
@@ -604,8 +604,8 @@ def test_tail_window_is_predicted_only_at_x_from_sqrt_2n(monkeypatch, n):
     for x in [x for x in xs if x is not None]:
         calls.clear()
         assert _hex(psi_py(n, x, tail=True)) == _hex(tail_point(n, x)), x
-        assert calls == [()], x
+        assert calls == [0], x
     calls.clear()
     assert _hex(psi_py(n, above, tail=True)) == _hex(tail_point(n, above))
     # below the first full block the window holds step 0
-    assert calls == ([(), (0,)] if n >= 64 else [()])
+    assert (calls[0] > 0 and calls[1:] == [0]) if n >= 64 else calls == [0]

@@ -356,6 +356,9 @@ class TestFrozenReference:
 # reduction: the frozen file's n past 800 read the oracle's error at four
 # points, and neighbouring n differ tenfold
 _SAMPLE = sorted((lambda rng: [rng.randint(1273, 10**5) for _ in range(20)])(random.Random(2031)))
+# the CLI's largest n and the first three drawn from [10^5, 10^6], where the
+# steps before the window carry a share of the error comparable to the window's
+_ABOVE_1E5 = [10**6, *(lambda rng: [rng.randint(10**5, 10**6) for _ in range(3)])(random.Random(36))]
 
 
 class TestIntegerReference:
@@ -375,3 +378,13 @@ class TestIntegerReference:
         with mpmath.workdps(50):
             p = tunnel_probability_exact(OscillatorMode(n), 1e-13)
             assert abs(mpmath.mpf(p) / p_int(n) - 1) <= 3e-13
+
+    @pytest.mark.parametrize("n", _ABOVE_1E5)
+    def test_oracle_within_its_accuracy_up_to_the_largest_n(self, n):
+        # measured: -6.9e-13 at 10^6, -2.8e-14 at 444667, -1.6e-13 at 161205
+        # and -7.1e-14 at 121862; the bound is about 1.3 times the largest.
+        # With x^2's low part rounded away before alpha's product they read
+        # +1.7e-11, -4.0e-12, -5.3e-13 and +5.7e-12
+        with mpmath.workdps(50):
+            p = tunnel_probability_exact(OscillatorMode(n), 1e-13)
+            assert abs(mpmath.mpf(p) / p_int(n) - 1) <= 9e-13
