@@ -28,11 +28,12 @@ that renormalises after every step, wherever that one stays finite; this
 one also stays finite for subnormal x.
 
 The step allocates nothing: the coefficients c1 and c2 do not depend on n,
-so they are built once per process, into one read-only table that grows to
-the largest n a call has needed (16 bytes per step), and each call takes
-prefix views of it.  Each step is four ufunc calls writing into two state
-arrays and one scratch array, with the roundings of (c1*x)*m - c2*pm in
-that order (no fused multiply-add, no reassociation).  This is the
+nor do the reduced route's a_k and c_k (below), so the four are built once
+per process, into one read-only table that grows to the largest n a call
+has needed (32 bytes per k), and each call takes views of the arrays it
+reads.  Each step is four ufunc calls writing into two state arrays and
+one scratch array, with the roundings of (c1*x)*m - c2*pm in that order
+(no fused multiply-add, no reassociation).  This is the
 package's only kernel; there is no compiled twin.
 
 At a float x the kernel runs the same steps, with the same roundings and,
@@ -77,19 +78,17 @@ of the larger, so nothing leaves the normal range and the bits are those
 of the block schedule (at fl(nu), 14 rescalings before the window instead
 of 124 at n = 7000, and 1914 instead of 26972 at 10^6).  Without tail, at
 x >= sqrt(2n), _grown runs all n steps on that schedule, with the same
-bits (eval_psi at fl(nu): 11% less time at n = 1560, 13% at 10^4).  The
-k0 terms before the window's first step k0 sum to at most k0 sqrt(2) x
-psi_{k0}^2 (in _window's units, 2x times the identity's terms), and the
-window's own sum is a lower bound on the tail.  After the window the two
-bounds are compared by their frexp exponents; unless the first is below
-2^-96 (_WINDOW_MARGIN) of the second, _window runs again, from step 0
-and the seed pair (psi_0, 0).  The check, not the width 16, carries the
-result.  Where the steps before the window run one a turn, the window's
-sum has had the full sum's bits wherever it was compared (every n to
-1200 and 201 more to 10^5, in the tests), and psi_n keeps the grid's
-bits either way.  At x < sqrt(2n), at x <= 0, and where the window's
-block is the first (at fl(nu), every n up to 177), the window starts at
-step 0.
+bits.  The k0 terms before the window's first step k0 sum to at most
+k0 sqrt(2) x psi_{k0}^2 (in _window's units, 2x times the identity's
+terms), and the window's own sum is a lower bound on the tail.  After the
+window the two bounds are compared by their frexp exponents; unless the
+first is below 2^-96 (_WINDOW_MARGIN) of the second, _window runs again,
+from step 0 and the seed pair (psi_0, 0).  The check, not the width 16,
+carries the result.  Where the steps before the window run one a turn, the
+window's sum has had the full sum's bits wherever it was compared (every n
+to 1200 and 201 more to 10^5, in the tests), and psi_n keeps the grid's
+bits either way.  At x < sqrt(2n), at x <= 0, and where the window's block
+is the first (at fl(nu), every n up to 177), the window starts at step 0.
 
 From _TWO_STEP_MIN = 1024 steps before the window on, those steps run 2^j
 orders a turn, by cyclic reduction of the recurrence in even-odd form
@@ -101,15 +100,16 @@ applied twice; Gil, Segura & Temme, ch. 4)
 
 on the chain of the window start's parity, from psi_0 or from
 psi_1 = fl(x c1[0]) psi_0; as c_0 = c_1 = 0 the chain's first turn has no
-term before it.  a_k and c_k are a second per-process table; alpha_k
-depends on x and is formed per call in numpy, rounded once from a_k times
-the exact x^2 - k - 1/2 (_two_step_turns).  A form that rounds x^2's low
-part away first, such as a_k fl(x^2 - k - 1/2 + lo), errs the same way at
-every k: the oracle then read -1.5e-13 at n = 2000 and +5.1e-13 at 9800
-against the frozen P_n.  A level of reduction (_reduced) takes a chain of
-turns psi_{k+s} = alpha_k psi_k - c_k psi_{k-s} of stride s, writes the
-turn at k + s and, solved for psi_{k-s}, the one at k - s into the one at
-k, and so keeps every other turn:
+term before it.  a_k and c_k are the table's other two arrays, read as
+strided views; alpha_k depends on x and is formed per call in numpy,
+rounded once from a_k times the exact x^2 - k - 1/2 (_two_step_turns).
+A form that rounds x^2's low part away first, such as
+a_k fl(x^2 - k - 1/2 + lo), errs the same way at every k: the oracle then
+read -1.5e-13 at n = 2000 and +5.1e-13 at 9800 against the frozen P_n.
+A level of reduction (_reduced) takes a chain of turns
+psi_{k+s} = alpha_k psi_k - c_k psi_{k-s} of stride s, writes the turn at
+k + s and, solved for psi_{k-s}, the one at k - s into the one at k, and
+so keeps every other turn:
 
     psi_{k+2s} = A_k psi_k - C_k psi_{k-2s},
     A_k = alpha_{k+s} alpha_k - c_{k+s} - alpha_{k+s} c_k / alpha_{k-s},
@@ -152,12 +152,10 @@ bits up to n = 1272 at fl(nu), so for every row of the paper's table
 (n <= 800, at most 603 steps before the window).  The error stays set by
 the one-step window (tests/_int_reference.py evaluates the identity in
 Python ints): on 20 n drawn from [1273, 10^5] its largest |error| is
-2.6e-13, against 2.3e-13 with two orders a turn, and the median 5.7e-14
-(5.5e-14); at 10^5 the window's steps from the correctly rounded start pair
-read +2.3e-14, and from one a unit lower in psi_start +5.4e-14.  Against
-the frozen P_n: -5.2e-15 at n = 2000, -2.3e-14 at 5200, +1.3e-14 at 9800,
-+2.3e-14 at 10^5.  A solve takes about 19% less time at n = 5200 than with
-two orders a turn, 28% at 7000, 29% at 9800, 47% at 10^5 and 37% at 10^6.
+2.6e-13 and the median 5.7e-14; at 10^5 the window's steps from the
+correctly rounded start pair read +2.3e-14, and from one a unit lower in
+psi_start +5.4e-14.  Against the frozen P_n: -5.2e-15 at n = 2000,
+-2.3e-14 at 5200, +1.3e-14 at 9800, +2.3e-14 at 10^5.
 """
 
 from __future__ import annotations
@@ -265,45 +263,28 @@ def _block_length(xmax: float) -> int:
     return min(_MAX_BLOCK, int(_BLOCK_LOG2_RANGE // growth))
 
 
-# c1 and c2 do not depend on n: one read-only table serves every call and
-# grows, when a call needs more entries, to max(n, twice its size)
-_TABLE = (np.empty(0), np.empty(0))
+# c1, c2 and the two-step recurrence's a and c (module docstring) do not depend
+# on n: one read-only table serves every call and grows, when a call needs more
+# entries, to max(n, twice its size)
+_TABLE = (np.empty(0),) * 4
 
 
 def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The recurrence's c1[k] = sqrt(2/(k+1)) and c2[k] = sqrt(k/(k+1)), for k < n.
 
-    Read-only prefix views of the process's table.
+    Read-only prefix views of the process's table, which grows with them
+    a[k] = 2/sqrt((k+1)(k+2)) and c[k] = sqrt(k(k-1)/((k+1)(k+2))).
     """
     global _TABLE
-    c1, c2 = _TABLE
+    c1, c2, _, _ = _TABLE
     if n > c1.size:
         # IEEE division and sqrt round correctly, so these hold the same doubles
         # as math.sqrt(2.0 / (k + 1)) and math.sqrt(k / (k + 1.0)), whatever the
         # table's length; the loops iterate memoryviews of them, which make each
-        # float as its step reads it, with no list to build
+        # float as its step reads it, with no list to build.  a and c are formed
+        # in place: five arrays at the peak (40 MB at n = 10^6)
         k = np.arange(max(n, 2 * c1.size), dtype=np.float64)
         c1, c2 = np.sqrt(2.0 / (k + 1.0)), np.sqrt(k / (k + 1.0))
-        c1.flags.writeable = c2.flags.writeable = False
-        _TABLE = c1, c2
-    return c1[:n], c2[:n]
-
-
-# the two-step recurrence's a[k] and c[k] (module docstring), grown like _TABLE
-# but only by the calls that run 2^j steps a turn
-_TWO_STEP_TABLE = (np.empty(0), np.empty(0))
-
-
-def _two_step_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """a[k] = 2/sqrt((k+1)(k+2)) and c[k] = sqrt(k(k-1)/((k+1)(k+2))), for k < n.
-
-    Read-only prefix views of the process's table.
-    """
-    global _TWO_STEP_TABLE
-    a, c = _TWO_STEP_TABLE
-    if n > a.size:
-        # in place: three arrays at the peak, not five (24 against 40 MB at n = 10^6)
-        k = np.arange(max(n, 2 * a.size), dtype=np.float64)
         a = k + 1.0
         a *= k + 2.0  # (k + 1)(k + 2), exact below k = 9e7, as is k (k - 1)
         c = k - 1.0
@@ -312,9 +293,10 @@ def _two_step_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
         np.sqrt(c, out=c)
         np.sqrt(a, out=a)
         np.divide(2.0, a, out=a)
-        a.flags.writeable = c.flags.writeable = False
-        _TWO_STEP_TABLE = a, c
-    return a[:n], c[:n]
+        for t in (c1, c2, a, c):
+            t.flags.writeable = False
+        _TABLE = c1, c2, a, c
+    return c1[:n], c2[:n]
 
 
 def _two_step_turns(x: float, p: int, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +308,8 @@ def _two_step_turns(x: float, p: int, start: int) -> tuple[np.ndarray, np.ndarra
     error term, not the difference, whose rounding would lean the same way
     at every k.
     """
-    a, c = _two_step_coefficients(start - 1)
-    a, c = a[p::2], c[p::2]
+    _, _, a, c = _TABLE  # grown past start by the caller's _coefficients(n)
+    a, c = a[p : start - 1 : 2], c[p : start - 1 : 2]
     h, lo = two_prod(x, x)
     d = np.arange(p, start - 1, 2, dtype=np.float64)
     d += 0.5

@@ -316,24 +316,36 @@ def _fresh_coefficients(n):
     return np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
 
 
+def _fresh_two_step_coefficients(n):
+    k = np.arange(n, dtype=np.float64)
+    return 2 / np.sqrt((k + 1) * (k + 2)), np.sqrt(k * (k - 1) / ((k + 1) * (k + 2)))
+
+
 _TABLE_ORDERS = sorted({0, 1, 2, *(2**k for k in range(1, 17)), *(2**k + 1 for k in range(1, 17))})
 
 
 @pytest.mark.parametrize("orders", [_TABLE_ORDERS, _TABLE_ORDERS[::-1]], ids=["ascending", "descending"])
 def test_coefficient_table_holds_fresh_values_across_growth(monkeypatch, orders):
-    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0), np.empty(0)))
+    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0),) * 4)
     for n in orders:
         size = oscillator._TABLE[0].size
         c1, c2 = oscillator._coefficients(n)
         f1, f2 = _fresh_coefficients(n)
         assert c1.view(np.int64).tolist() == f1.view(np.int64).tolist()
         assert c2.view(np.int64).tolist() == f2.view(np.int64).tolist()
-        # the table grows only when a call needs more entries, to max(n, twice its size)
-        assert oscillator._TABLE[0].size == (max(n, 2 * size) if n > size else size)
+        # the table grows only when a call needs more entries, to max(n, twice its size),
+        # all four arrays together
+        grown = max(n, 2 * size) if n > size else size
+        assert [t.size for t in oscillator._TABLE] == [grown] * 4
+        # and a, c hold the doubles of a fresh build over the whole table
+        _, _, a, c = oscillator._TABLE
+        fa, fc = _fresh_two_step_coefficients(grown)
+        assert np.array_equal(a.view(np.int64), fa.view(np.int64))
+        assert np.array_equal(c.view(np.int64), fc.view(np.int64))
 
 
 def test_smaller_request_shares_the_table(monkeypatch):
-    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0), np.empty(0)))
+    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0),) * 4)
     oscillator._coefficients(1000)
     table = oscillator._TABLE
     c1, c2 = oscillator._coefficients(10)
@@ -345,7 +357,7 @@ def test_smaller_request_shares_the_table(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 177, 178, 1000])
 def test_table_far_past_n_gives_the_bits_of_n_steps(monkeypatch, n):
     # every loop stops at step n however long the table has grown
-    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0), np.empty(0)))
+    monkeypatch.setattr(oscillator, "_TABLE", (np.empty(0),) * 4)
     oscillator._coefficients(2**16)
     nu = math.sqrt(2 * n + 1)
     xs = [nu, -nu, 0.5 * nu]
@@ -363,8 +375,8 @@ def test_table_far_past_n_gives_the_bits_of_n_steps(monkeypatch, n):
 
 def test_coefficient_table_is_read_only():
     c1, c2 = oscillator._coefficients(50)
-    a, c = oscillator._two_step_coefficients(50)
-    for t in (c1, c2, *oscillator._TABLE, a, c, *oscillator._TWO_STEP_TABLE):
+    _, _, a, c = oscillator._TABLE
+    for t in (c1, c2, *oscillator._TABLE):
         with pytest.raises(ValueError, match="read-only"):
             t[0] = 1.0
     assert c1[0] == math.sqrt(2.0) and c2[0] == 0.0
